@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -166,8 +165,9 @@ def _initial_geometry(chain, q):
     plus world foot poses."""
     feet = {}
     lowest = 0.0
+    poses = chain.link_poses(q)
     for side in ("left", "right"):
-        rel = K.relative_fk(chain, q, chain.base_link, f"{side}_sole")
+        rel = K.relative_fk(chain, q, chain.base_link, f"{side}_sole", poses)
         feet[side] = rel
         lowest = min(lowest, rel.matrix[2, 3])
     base = G.se3_element(np.eye(3), [0.0, 0.0, -lowest])
@@ -205,7 +205,7 @@ def run_estimator(name, records, chain, noise, seed=0,
     contacts = {"left": True, "right": True}
     rows = []
     prev_t = None
-    for t in times:
+    for idx, t in enumerate(times):
         recs = by_time[t]
         dt = (t - prev_t) if prev_t is not None else None
         for rec in recs:
@@ -217,16 +217,17 @@ def run_estimator(name, records, chain, noise, seed=0,
         rows.append((t,) + driver.estimate())
         for rec in recs:
             if rec["kind"] == "imu":
-                step = driver_dt(by_time, times, t)
+                step = driver_dt(times, idx)
                 driver.on_imu(rec, contacts, step)
         prev_t = t
     return rows
 
 
-def driver_dt(by_time, times, t):
-    idx = times.index(t)
+def driver_dt(times, idx):
+    """Step of the IMU record at times[idx]: up to the next stamp of any
+    kind; the last stamp repeats the step before it."""
     if idx + 1 < len(times):
-        return times[idx + 1] - t
+        return times[idx + 1] - times[idx]
     return times[idx] - times[idx - 1] if idx > 0 else 0.01
 
 
@@ -254,18 +255,21 @@ class _DiligentDriver:
     def on_encoder(self, rec, contacts, dt):
         meas = []
         q = np.asarray(rec["positions"], float)
+        poses = self.chain.link_poses(q)
         for side in ("left", "right"):
             if contacts.get(side):
-                z, n = E.foot_pose_measurement(self.chain, q,
-                                               f"{side}_sole", self.noise)
+                z, n = E.foot_pose_measurement(self.chain, q, f"{side}_sole",
+                                               self.noise, poses=poses)
                 meas.append((side, z, n))
         if meas:
             fn = E.diligent_rie_update if self.rie else E.diligent_update
             self.state = fn(self.state, meas)
 
     def estimate(self):
-        return (self.state.base_position, self.state.base_rotation,
-                self.state.base_velocity)
+        # copies: views would keep every step's whole state matrix alive
+        return (self.state.base_position.copy(),
+                self.state.base_rotation.copy(),
+                self.state.base_velocity.copy())
 
 
 class _DiligentRie(_DiligentDriver):
@@ -292,16 +296,17 @@ class _OdometryDriver:
 
     def on_encoder(self, rec, contacts, dt):
         self.q = np.asarray(rec["positions"], float)
+        poses = self.chain.link_poses(self.q)
         anchor = "left_sole" if contacts.get("left") else "right_sole"
         if self.state is None:
             self.state = K.odometry_start(self.chain, self.q, anchor,
-                                          self.base0)
+                                          self.base0, poses=poses)
         else:
             switch = None if self.state.fixed_frame == anchor else anchor
             if not contacts.get("left") and not contacts.get("right"):
                 switch = None
             self.state = K.odometry_update(self.state, self.chain, self.q,
-                                           contact_switch=switch)
+                                           contact_switch=switch, poses=poses)
         p = self.state.base_pose.matrix[:3, 3]
         prev_p, _ = self.prev
         if dt:
@@ -334,11 +339,13 @@ class _SwaDriver:
         qd = np.asarray(rec.get("velocities", np.zeros_like(q)), float)
         flags = {f"{side}_sole": bool(contacts.get(side))
                  for side in ("left", "right")}
+        poses = self.chain.link_poses(q)
         if self.state is None:
             anchor = "left_sole" if contacts.get("left") else "right_sole"
-            self.state = E.swa_start(self.chain, q, anchor, self.base0)
+            self.state = E.swa_start(self.chain, q, anchor, self.base0,
+                                     poses=poses)
         self.state = E.swa_step(self.state, self.chain, q, qd, self.gyro,
-                                self.imu_rot, flags)
+                                self.imu_rot, flags, poses=poses)
 
     def estimate(self):
         if self.state is None:
@@ -377,13 +384,14 @@ class _HumanDriver:
     def on_encoder(self, rec, contacts, dt):
         q = np.asarray(rec["positions"], float)
         qd = np.asarray(rec.get("velocities", np.zeros_like(q)), float)
+        poses = self.chain.link_poses(q)
         for i, side in enumerate(("left", "right")):
             if not contacts.get(side):
                 continue
             rel, cov = HE.vertex_position_measurement(
-                self.chain, q, f"{side}_sole", self.noise)
+                self.chain, q, f"{side}_sole", self.noise, poses=poses)
             rot = K.relative_fk(self.chain, q, self.chain.base_link,
-                                f"{side}_sole").matrix[:3, :3]
+                                f"{side}_sole", poses).matrix[:3, :3]
             for j, (dx, dy) in enumerate(self.corners):
                 target = rel + rot @ np.array([dx, dy, 0.0])
                 self.state = HE.human_update_relative_contact_position(
@@ -395,7 +403,8 @@ class _HumanDriver:
             # a pinned sole turns the leg kinematics into a base velocity
             # fix; an identity base pose keeps it in the body frame
             twist = K.base_velocity_from_contact(
-                self.chain, q, qd, f"{stance[0]}_sole", G.identity(G.SE3))
+                self.chain, q, qd, f"{stance[0]}_sole", G.identity(G.SE3),
+                poses=poses)
             # finite-difference joint rates straddle touchdown, so gate the
             # velocity fixes instead of letting an outlier wrench the state
             try:
@@ -412,8 +421,9 @@ class _HumanDriver:
                 pass
 
     def estimate(self):
-        return (self.state.base_position, self.state.base_rotation,
-                self.state.base_velocity)
+        return (self.state.base_position.copy(),
+                self.state.base_rotation.copy(),
+                self.state.base_velocity.copy())
 
 
 _DRIVERS = {
@@ -427,11 +437,10 @@ _DRIVERS = {
 }
 
 
-def _run_single(task):
-    name, log_path, chain_path, config, seed, out, rot_deg, vel = task
-    records = read_sensor_log(log_path)
-    chain = K.load_chain(chain_path) if chain_path else S.walker_chain()
-    noise = _load_noise(config)
+def _replay(task):
+    """One trial: replay the log and write its CSV. Module level, so that
+    --parallel can send it to worker processes."""
+    name, records, chain, noise, seed, out, rot_deg, vel = task
     rows = run_estimator(name, records, chain, noise, seed=seed,
                          init_rot_deg=rot_deg, init_vel=vel)
     write_trajectory_csv(out, rows)
@@ -442,22 +451,26 @@ def cmd_run(args):
     if args.estimator not in ESTIMATORS:
         # argparse choices already guard this; double-check for API callers
         raise G.InvalidArgumentError(f"unknown estimator {args.estimator!r}")
+    records = read_sensor_log(args.log)
+    chain = K.load_chain(args.chain) if args.chain else S.walker_chain()
+    noise = _load_noise(args.config)
     if args.trials <= 1:
-        _run_single((args.estimator, args.log, args.chain, args.config,
-                     args.seed, args.out, args.init_rot_deg, args.init_vel))
-        log.info("wrote %s", args.out)
-        return 0
-    stem, ext = os.path.splitext(args.out)
-    tasks = [(args.estimator, args.log, args.chain, args.config,
-              args.seed + i, f"{stem}_trial{i}{ext}",
-              args.init_rot_deg, args.init_vel)
-             for i in range(args.trials)]
-    if args.parallel:
-        with ProcessPoolExecutor() as pool:
-            outs = list(pool.map(_run_single, tasks))
+        outs = [(args.seed, args.out)]
     else:
-        outs = [_run_single(t) for t in tasks]
-    log.info("wrote %d trial files", len(outs))
+        stem, ext = os.path.splitext(args.out)
+        outs = [(args.seed + i, f"{stem}_trial{i}{ext}")
+                for i in range(args.trials)]
+    tasks = [(args.estimator, records, chain, noise, seed, out,
+              args.init_rot_deg, args.init_vel) for seed, out in outs]
+    if args.parallel and len(tasks) > 1:
+        # imported here: it is a noticeable share of the CLI's start-up
+        from concurrent.futures import ProcessPoolExecutor
+        workers = min(len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            written = list(pool.map(_replay, tasks))
+    else:
+        written = [_replay(task) for task in tasks]
+    log.info("wrote %s", ", ".join(written))
     return 0
 
 

@@ -78,35 +78,37 @@ class DiligentState:
     def dim(self):
         return self.element.tag.algebra_dim
 
-    def _parts(self):
-        return G.composite_parts(self.element)
+    # The accessors read views of the state matrix. Its blocks, in order:
+    # base SE_2(3) (5x5), left and right foot SE(3) (4x4 each), one SE(3)
+    # per landmark, and the T(6) bias block last (7x7).
 
     @property
     def base_rotation(self):
-        return self._parts()[0].matrix[:3, :3]
+        return self.element.matrix[:3, :3]
 
     @property
     def base_position(self):
-        return self._parts()[0].matrix[:3, 3]
+        return self.element.matrix[:3, 3]
 
     @property
     def base_velocity(self):
-        return self._parts()[0].matrix[:3, 4]
+        return self.element.matrix[:3, 4]
 
     @property
     def base_pose(self):
-        return G.se3_element(self.base_rotation, self.base_position)
+        return G._trusted_se3(self.base_rotation, self.base_position)
 
     def foot_pose(self, side):
-        return self._parts()[1 + _FOOT_INDEX[side]]
+        i = 5 + 4 * _FOOT_INDEX[side]
+        return G._trusted_element(G.SE3, self.element.matrix[i:i + 4, i:i + 4])
 
     @property
     def accel_bias(self):
-        return self._parts()[-1].matrix[:6, 6][:3]
+        return self.element.matrix[-7:-4, -1]
 
     @property
     def gyro_bias(self):
-        return self._parts()[-1].matrix[:6, 6][3:]
+        return self.element.matrix[-4:-1, -1]
 
 
 def diligent_initial_state(base_pose, velocity, left_foot_pose,
@@ -247,17 +249,21 @@ def diligent_rie_predict(state, imu: ImuInput, contacts, noise: NoiseConfig,
 
 
 def foot_pose_measurement(chain, joint_positions, sole_frame,
-                          noise: NoiseConfig):
+                          noise: NoiseConfig, poses=None):
     """Relative base-to-sole pose from encoders, with its lifted covariance.
 
     The encoder noise maps into the pose through the left-trivialized
     relative Jacobian; a tiny jitter keeps the result invertible when the
-    leg has fewer than six joints.
+    leg has fewer than six joints. poses, when given, is
+    chain.link_poses(joint_positions).
     """
     from .. import kinematics as K
-    z = K.relative_fk(chain, joint_positions, chain.base_link, sole_frame)
+    if poses is None:
+        poses = chain.link_poses(joint_positions)
+    z = K.relative_fk(chain, joint_positions, chain.base_link, sole_frame,
+                      poses)
     jac = K.relative_jacobian_left_trivialized(
-        chain, joint_positions, chain.base_link, sole_frame)
+        chain, joint_positions, chain.base_link, sole_frame, poses)
     cov = (noise.encoder ** 2) * (jac @ jac.T) + 1e-12 * np.eye(6)
     return z, cov
 
@@ -266,7 +272,7 @@ def _predicted_foot_pose(state, side):
     r, p = state.base_rotation, state.base_position
     foot = state.foot_pose(side)
     z_f, d_f = foot.matrix[:3, :3], foot.matrix[:3, 3]
-    return G.se3_element(r.T @ z_f, r.T @ (d_f - p))
+    return G._trusted_se3(r.T @ z_f, r.T @ (d_f - p))
 
 
 def _measurement_jacobian_right(state, side):

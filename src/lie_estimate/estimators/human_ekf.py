@@ -44,6 +44,7 @@ _COL_V = 4
 _COL_D0 = 5
 _ROW_W = 13      # translation-block rows for the angular-rate slot
 _COL_W_ONE = 16
+_ROW_Z = 17      # first row of the left-shoe rotation block
 
 HUMAN_NOISE = NoiseConfig(foot_linear=1e-3, foot_angular=1e-3)
 
@@ -66,35 +67,37 @@ class HumanEkfState:
         if self.covariance.shape != (_DIM, _DIM):
             raise G.InvalidArgumentError("covariance must be 42x42")
 
-    def _parts(self):
-        return G.composite_parts(self.element)
+    # The accessors read views of the 23x23 state matrix: the SE_10(3)
+    # block (13x13) holds the base pose, velocity and vertices, then come
+    # the T(3) angular-rate block and the two shoe rotations.
 
     @property
     def base_rotation(self):
-        return self._parts()[0].matrix[:3, :3]
+        return self.element.matrix[:3, :3]
 
     @property
     def base_position(self):
-        return self._parts()[0].matrix[:3, 3]
+        return self.element.matrix[:3, _COL_P]
 
     @property
     def base_velocity(self):
-        return self._parts()[0].matrix[:3, 4]
+        return self.element.matrix[:3, _COL_V]
 
     @property
     def base_pose(self):
-        return G.se3_element(self.base_rotation, self.base_position)
+        return G._trusted_se3(self.base_rotation, self.base_position)
 
     def vertex_position(self, i):
         _vslot(i)
-        return self._parts()[0].matrix[:3, 5 + i]
+        return self.element.matrix[:3, _COL_D0 + i]
 
     @property
     def angular_velocity(self):
-        return self._parts()[1].matrix[:3, 3]
+        return self.element.matrix[_ROW_W:_ROW_W + 3, _COL_W_ONE]
 
     def foot_rotation(self, side):
-        return self._parts()[2 if side == "left" else 3].matrix
+        i = _ROW_Z if side == "left" else _ROW_Z + 3
+        return self.element.matrix[i:i + 3, i:i + 3]
 
 
 def human_initial_state(base_pose, velocity, vertex_positions,
@@ -133,12 +136,13 @@ def human_ekf_predict(state, dt, noise: NoiseConfig = HUMAN_NOISE,
     """
     if dt <= 0.0:
         raise G.InvalidArgumentError("dt must be positive")
-    parts = G.composite_parts(state.element)
     r, p, v = state.base_rotation, state.base_position, state.base_velocity
     w = state.angular_velocity
-    cols = [p + v * dt, v] + [state.vertex_position(i) for i in range(N_VERTICES)]
-    core = G.sek3_element(r @ G.exp(G.TangentVector(G.SO3, w * dt)).matrix, cols)
-    mean = G.composite_element(_TAG, [core, *parts[1:]])
+    # only the base rotation and position move; the rest is copied
+    m = state.element.matrix.copy()
+    m[:3, :3] = r @ G.exp(G.TangentVector(G.SO3, w * dt)).matrix
+    m[:3, _COL_P] = p + v * dt
+    mean = G._trusted_element(_TAG, m)
 
     f_c = np.zeros((_DIM, _DIM))
     f_c[_P, _V] = np.eye(3)
@@ -326,12 +330,16 @@ def human_update_contact_plane(state, side, plane_rotation, covariance,
 
 
 def vertex_position_measurement(chain, joint_positions, vertex_frame,
-                                noise: NoiseConfig = HUMAN_NOISE):
-    """Relative base-to-vertex position and its base-frame covariance."""
+                                noise: NoiseConfig = HUMAN_NOISE, poses=None):
+    """Relative base-to-vertex position and its base-frame covariance;
+    poses, when given, is chain.link_poses(joint_positions)."""
     from .. import kinematics as K
-    pose = K.relative_fk(chain, joint_positions, chain.base_link, vertex_frame)
+    if poses is None:
+        poses = chain.link_poses(joint_positions)
+    pose = K.relative_fk(chain, joint_positions, chain.base_link, vertex_frame,
+                         poses)
     jac = K.relative_jacobian_left_trivialized(
-        chain, joint_positions, chain.base_link, vertex_frame)
+        chain, joint_positions, chain.base_link, vertex_frame, poses)
     rot = pose.matrix[:3, :3]
     j_lin = rot @ jac[:3]  # base-frame position rows
     cov = noise.joint_position ** 2 * (j_lin @ j_lin.T) + 1e-12 * np.eye(3)

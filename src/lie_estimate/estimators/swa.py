@@ -26,10 +26,14 @@ class SwaState:
     stance: tuple
 
 
-def swa_start(chain, joint_positions, stance_frame, base_pose=None) -> SwaState:
+def swa_start(chain, joint_positions, stance_frame, base_pose=None,
+              poses=None) -> SwaState:
+    """Anchor at a stance frame; poses, when given, is
+    chain.link_poses(joint_positions)."""
     if base_pose is None:
         base_pose = G.identity(G.SE3)
-    odo = K.odometry_start(chain, joint_positions, stance_frame, base_pose)
+    odo = K.odometry_start(chain, joint_positions, stance_frame, base_pose,
+                           poses)
     return SwaState(odo, base_pose, np.zeros(6), (stance_frame,))
 
 
@@ -51,37 +55,43 @@ def _pick_stance(state, contacts):
 
 def swa_step(state, chain, joint_positions, joint_velocities, gyro,
              imu_rotation, contacts, orientation_weights=(0.5, 0.5),
-             joint_rate_weight=1.0, contact_weight=1e3) -> SwaState:
+             joint_rate_weight=1.0, contact_weight=1e3,
+             poses=None) -> SwaState:
     """Advance the odometry one sample.
 
     gyro is the body-frame base angular rate (already rotated into the base
     frame), imu_rotation the world base rotation reported by the IMU filter,
     contacts a mapping from sole frame name to a boolean contact flag.
     orientation_weights weighs (kinematic, imu-tilt) in the rotation fusion.
+    poses, when given, is chain.link_poses(joint_positions); otherwise it is
+    computed once here for all the kinematics of the sample.
     """
+    if poses is None:
+        poses = chain.link_poses(joint_positions)
     anchor, active = _pick_stance(state, contacts)
     switch = None if anchor == state.odometry.fixed_frame else anchor
     odo = K.odometry_update(state.odometry, chain, joint_positions,
-                            contact_switch=switch)
+                            contact_switch=switch, poses=poses)
 
-    r_lo = odo.base_pose.matrix[:3, :3]
+    # the kinematic rotation and the Karcher mean are kernel results and go
+    # unchecked; the caller's imu_rotation is validated
+    r_lo = G._trusted_element(G.SO3, odo.base_pose.matrix[:3, :3])
     pos = odo.base_pose.matrix[:3, 3]
     # overwrite the IMU yaw with the kinematic one, keep the IMU tilt
-    _, _, yaw = G.rotation_to_rpy(G.so3_element(r_lo))
+    _, _, yaw = G.rotation_to_rpy(r_lo)
     roll, pitch, _ = G.rotation_to_rpy(G.so3_element(imu_rotation))
-    r_tilt = G.rpy_to_rotation(roll, pitch, yaw).matrix
+    r_tilt = G.rpy_to_rotation(roll, pitch, yaw)
     fused = A.karcher_mean(
-        [G.so3_element(r_lo), G.so3_element(r_tilt)],
-        weights=list(orientation_weights),
+        [r_lo, r_tilt], weights=list(orientation_weights),
         cfg=A.AveragingConfig(step_size=1.0, tolerance=1e-10, max_iters=50))
-    pose = G.se3_element(fused.matrix, pos)
+    pose = G._trusted_se3(fused.matrix, pos)
 
     ndof = chain.dof
     size = 6 + ndof
     sdot = np.asarray(joint_velocities, float).reshape(ndof)
     constraints = []
     for frame in active:
-        jac = K.mixed_jacobian(chain, joint_positions, pose, frame)
+        jac = K.mixed_jacobian(chain, joint_positions, pose, frame, poses)
         constraints.append({"rows": jac[:3], "target": np.zeros(3),
                             "weight": contact_weight * np.eye(3)})
     ang = np.zeros((3, size))

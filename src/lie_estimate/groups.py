@@ -78,7 +78,7 @@ class GroupTag:
         if self.family == "Composite" and not self.parts:
             raise InvalidArgumentError("Composite requires at least one part")
 
-    @property
+    @functools.cached_property
     def algebra_dim(self) -> int:
         if self.family == "SO3":
             return 3
@@ -90,7 +90,7 @@ class GroupTag:
             return self.n
         return sum(p.algebra_dim for p in self.parts)
 
-    @property
+    @functools.cached_property
     def matrix_dim(self) -> int:
         if self.family == "SO3":
             return 3
@@ -220,8 +220,14 @@ def _tangent_slices(tag: GroupTag):
 
 def skew(v) -> np.ndarray:
     """3x3 skew-symmetric matrix S(v) with S(v) w = v x w."""
-    x, y, z = np.asarray(v, dtype=float).reshape(3)
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _norm(v) -> float:
+    # np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); without its dispatch
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(v.dot(v))
 
 
 def _sinc(theta: float) -> float:
@@ -241,9 +247,9 @@ def _cosc(theta: float) -> float:
 
 
 def _so3_exp(phi: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(phi))
+    theta = _norm(phi)
     s = skew(phi)
-    return np.eye(3) + _sinc(theta) * s + _cosc(theta) * (s @ s)
+    return _eye(3) + _sinc(theta) * s + _cosc(theta) * (s @ s)
 
 
 def _so3_log(r: np.ndarray) -> np.ndarray:
@@ -269,25 +275,25 @@ def _so3_log(r: np.ndarray) -> np.ndarray:
 
 
 def _so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(phi))
+    theta = _norm(phi)
     s = skew(phi)
     if theta < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * s + (s @ s) / 6.0
+        return _eye(3) + 0.5 * s + (s @ s) / 6.0
     a = np.asarray(phi, dtype=float) / theta
     sa = _sinc(theta)
-    return sa * np.eye(3) + (1.0 - sa) * np.outer(a, a) + _cosc(theta) * theta * skew(a)
+    return sa * _eye(3) + (1.0 - sa) * np.outer(a, a) + _cosc(theta) * theta * skew(a)
 
 
 def _so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(phi))
+    theta = _norm(phi)
     _check_jacobian_angle(theta)
     s = skew(phi)
     if theta < _SMALL_ANGLE:
-        return np.eye(3) - 0.5 * s + (s @ s) / 12.0
+        return _eye(3) - 0.5 * s + (s @ s) / 12.0
     a = np.asarray(phi, dtype=float) / theta
     half = theta / 2.0
     cot = half / math.tan(half)
-    return cot * np.eye(3) + (1.0 - cot) * np.outer(a, a) - half * skew(a)
+    return cot * _eye(3) + (1.0 - cot) * np.outer(a, a) - half * skew(a)
 
 
 def _check_jacobian_angle(theta: float):
@@ -300,7 +306,7 @@ def _check_jacobian_angle(theta: float):
 
 def _se3_q_matrix(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Q block of the SE(3)-style left Jacobian for translation slot u."""
-    theta = float(np.linalg.norm(phi))
+    theta = _norm(phi)
     su = skew(u)
     sp = skew(phi)
     if theta < _SMALL_ANGLE:
@@ -437,7 +443,7 @@ def log(x: GroupElement) -> TangentVector:
         return TangentVector(tag, _join_sek3(phi, u))
     if tag.family == "Tn":
         return TangentVector(tag, m[:tag.n, tag.n].copy())
-    parts = [log(GroupElement(p, b)).components
+    parts = [log(_trusted_element(p, b)).components
              for p, b in zip(tag.parts, _diag_blocks(tag, m))]
     return TangentVector(tag, np.concatenate(parts))
 
@@ -462,7 +468,7 @@ def adjoint(x: GroupElement) -> np.ndarray:
         return adj
     if tag.family == "Tn":
         return np.eye(tag.n)
-    blocks = [adjoint(GroupElement(p, b))
+    blocks = [adjoint(_trusted_element(p, b))
               for p, b in zip(tag.parts, _diag_blocks(tag, m))]
     return _blkdiag(blocks)
 
@@ -509,7 +515,7 @@ def left_jacobian_inv(v: TangentVector) -> np.ndarray:
     # SE(3)/SEk3: the blocks are not triangular in the linear-first
     # serialization, so invert the dense closed form.
     phi = v.components[3:6]
-    _check_jacobian_angle(float(np.linalg.norm(phi)))
+    _check_jacobian_angle(_norm(phi))
     return np.linalg.inv(left_jacobian(v))
 
 
@@ -592,6 +598,14 @@ def _trusted_element(tag: GroupTag, m: np.ndarray) -> GroupElement:
     object.__setattr__(el, "tag", tag)
     object.__setattr__(el, "matrix", m)
     return el
+
+
+def _trusted_se3(rotation, translation) -> GroupElement:
+    """se3_element without the check, for a rotation the program computed."""
+    m = np.eye(4)
+    m[:3, :3] = rotation
+    m[:3, 3] = translation
+    return _trusted_element(SE3, m)
 
 
 def composite_parts(x: GroupElement):

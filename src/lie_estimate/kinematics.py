@@ -6,6 +6,11 @@ free-floating Jacobians, foot-anchored odometry, contact-constrained base
 velocity, a regularized weighted least-squares fuser, and a velocity-level
 inverse-kinematics step.
 
+Every function that needs the link poses of a joint vector s takes an
+optional ``poses``: the result of ``chain.link_poses(s)``, computed once by
+the caller and shared by all the kinematics of one encoder sample. When it
+is omitted the function computes it itself.
+
 Twist conventions, linear components first:
 
   * left-trivialized: hat(V) = H^-1 dH/dt (body-frame linear and angular).
@@ -15,6 +20,7 @@ Twist conventions, linear components first:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +101,27 @@ class KinematicChain:
                 raise G.InvalidArgumentError(f"frame name {f.name!r} shadows a link")
         self._parent_joint = parent_joint
         self._joint_index = {j.name: i for i, j in enumerate(self.joints)}
+        # Parent-first joint order, and per joint the Rodrigues terms of
+        # origin * rot(axis, theta) = O + sin(theta) O K + (1 - cos(theta)) O K^2
+        # with K = skew(axis), embedded as 4x4 matrices.
+        children = {}
+        for j in self.joints:
+            children.setdefault(j.parent, []).append(j)
+        order, frontier = [], [base_link]
+        while frontier:
+            for j in children.get(frontier.pop(0), ()):
+                order.append(j)
+                frontier.append(j.child)
+        self._fk_links = [(j.parent, j.child) for j in order]
+        self._fk_index = np.array([self._joint_index[j.name] for j in order],
+                                  dtype=int)
+        origin = np.array([j.origin.matrix for j in order]).reshape(-1, 4, 4)
+        k = np.array([G.skew(j.axis) for j in order]).reshape(-1, 3, 3)
+        self._fk_origin = origin
+        self._fk_sin = np.zeros_like(origin)
+        self._fk_sin[:, :3, :3] = origin[:, :3, :3] @ k
+        self._fk_vers = np.zeros_like(origin)
+        self._fk_vers[:, :3, :3] = origin[:, :3, :3] @ (k @ k)
 
     @property
     def dof(self):
@@ -117,26 +144,23 @@ class KinematicChain:
         return s
 
     def link_poses(self, s):
-        """Pose of every link relative to the base link."""
+        """Pose of every link relative to the base link, as a dict.
+
+        One 4x4 product per joint, parent first; the joint rotations come
+        from Rodrigues' formula on the precomputed axis generators.
+        """
         s = self._check_positions(s)
+        theta = s[self._fk_index][:, None, None]
+        local = (self._fk_origin + np.sin(theta) * self._fk_sin
+                 + (1.0 - np.cos(theta)) * self._fk_vers)
         poses = {self.base_link: G.identity(G.SE3)}
-        pending = [j for j in self.joints]
-        while pending:
-            progressed = False
-            for j in list(pending):
-                if j.parent in poses:
-                    theta = s[self._joint_index[j.name]]
-                    poses[j.child] = G.compose(
-                        G.compose(poses[j.parent], j.origin),
-                        joint_transform(j.axis, theta))
-                    pending.remove(j)
-                    progressed = True
-            if not progressed:
-                raise G.InvalidArgumentError("chain joints are not connected")
+        for (parent, child), m in zip(self._fk_links, local):
+            poses[child] = G._trusted_element(G.SE3, poses[parent].matrix @ m)
         return poses
 
     def frame_pose(self, s, frame, poses=None):
-        """Pose of a frame relative to the base link."""
+        """Pose of a frame relative to the base link; poses, when given, is
+        link_poses(s)."""
         link, offset = self.frame_link(frame)
         poses = poses if poses is not None else self.link_poses(s)
         return G.compose(poses[link], offset)
@@ -183,55 +207,78 @@ def load_chain(source) -> KinematicChain:
 
 
 def joint_transform(axis, theta) -> G.GroupElement:
-    """Pure rotation by theta about a unit axis, zero translation."""
-    rot = G.exp(G.TangentVector(G.SO3, float(theta) * np.asarray(axis, float)))
-    return G.se3_element(rot.matrix, np.zeros(3))
+    """Pure rotation by theta about a unit axis, zero translation.
+
+    Rodrigues' formula R = I + sin(theta) K + (1 - cos(theta)) K^2 with
+    K = skew(axis).
+    """
+    axis = np.asarray(axis, dtype=float).reshape(3)
+    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+        raise G.InvalidArgumentError("joint axis must be unit")
+    k = G.skew(axis)
+    m = np.eye(4)
+    m[:3, :3] += math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+    return G._trusted_element(G.SE3, m)
 
 
-def relative_fk(chain, s, frame_from, frame_to) -> G.GroupElement:
-    """Pose of frame_to expressed in frame_from."""
-    poses = chain.link_poses(s)
+def relative_fk(chain, s, frame_from, frame_to,
+                poses=None) -> G.GroupElement:
+    """Pose of frame_to expressed in frame_from; poses, when given, is
+    chain.link_poses(s)."""
+    if poses is None:
+        poses = chain.link_poses(s)
     a = chain.frame_pose(s, frame_from, poses)
     b = chain.frame_pose(s, frame_to, poses)
     return G.compose(G.inverse(a), b)
 
 
-def relative_jacobian_left_trivialized(chain, s, frame_from, frame_to):
+def relative_jacobian_left_trivialized(chain, s, frame_from, frame_to,
+                                       poses=None):
     """6 x dof map from joint rates to the left-trivialized relative twist.
 
     hat(J s_dot) = H^-1 dH/dt for H the frame_from-to-frame_to pose. Column
     j is the joint's rotation generator carried to the target frame, with a
-    sign from the walking direction along the tree path.
+    sign from the walking direction along the tree path. poses, when given,
+    is chain.link_poses(s).
     """
-    poses = chain.link_poses(s)
-    target = chain.frame_pose(s, frame_to, poses)
+    if poses is None:
+        poses = chain.link_poses(s)
+    target_inv = G.inverse(chain.frame_pose(s, frame_to, poses))
     link_from, _ = chain.frame_link(frame_from)
     link_to, _ = chain.frame_link(frame_to)
     jac = np.zeros((6, chain.dof))
     for joint, sign in chain._path_joints(link_from, link_to):
-        rel = G.compose(G.inverse(target), poses[joint.child])
+        rel = G.compose(target_inv, poses[joint.child])
         sigma = np.concatenate([np.zeros(3), joint.axis])
         jac[:, chain._joint_index[joint.name]] = sign * G.adjoint(rel) @ sigma
     return jac
 
 
-def mixed_jacobian(chain, s, base_pose, frame):
+def _twice(r):
+    """6x6 block diagonal diag(r, r)."""
+    out = np.zeros((6, 6))
+    out[:3, :3] = r
+    out[3:, 3:] = r
+    return out
+
+
+def mixed_jacobian(chain, s, base_pose, frame, poses=None):
     """6 x (6 + dof) free-floating Jacobian in the mixed convention.
 
     Maps (mixed base twist, joint rates) to the frame's mixed twist. The
     linear rows differentiate the world position of the frame origin.
+    poses, when given, is chain.link_poses(s).
     """
-    poses = chain.link_poses(s)
+    if poses is None:
+        poses = chain.link_poses(s)
     r_base = base_pose.matrix[:3, :3]
     frame_in_base = chain.frame_pose(s, frame, poses)
     r_frame = r_base @ frame_in_base.matrix[:3, :3]
-    mixed_to_left = np.block([[r_base.T, np.zeros((3, 3))],
-                              [np.zeros((3, 3)), r_base.T]])
-    left_to_mixed = np.block([[r_frame, np.zeros((3, 3))],
-                              [np.zeros((3, 3)), r_frame]])
+    mixed_to_left = _twice(r_base.T)
+    left_to_mixed = _twice(r_frame)
     base_block = G.adjoint(G.inverse(frame_in_base)) @ mixed_to_left
     joint_block = relative_jacobian_left_trivialized(
-        chain, s, chain.base_link, frame)
+        chain, s, chain.base_link, frame, poses)
     return left_to_mixed @ np.hstack([base_block, joint_block])
 
 
@@ -242,33 +289,44 @@ class OdometryState:
     base_pose: G.GroupElement
 
 
-def odometry_start(chain, s, fixed_frame, base_pose) -> OdometryState:
-    """Anchor odometry at a contact frame given the current base pose."""
-    fixed = G.compose(base_pose, relative_fk(chain, s, chain.base_link, fixed_frame))
+def odometry_start(chain, s, fixed_frame, base_pose,
+                   poses=None) -> OdometryState:
+    """Anchor odometry at a contact frame given the current base pose;
+    poses, when given, is chain.link_poses(s)."""
+    fixed = G.compose(base_pose, relative_fk(chain, s, chain.base_link,
+                                             fixed_frame, poses))
     return OdometryState(fixed_frame, fixed, base_pose)
 
 
-def odometry_update(state, chain, s, contact_switch=None) -> OdometryState:
+def odometry_update(state, chain, s, contact_switch=None,
+                    poses=None) -> OdometryState:
     """Recompute the base pose from the anchored frame; optionally re-anchor.
 
     On a switch the new anchor pose is composed through the current shape, so
-    a coincident switch leaves the base pose untouched.
+    a coincident switch leaves the base pose untouched. poses, when given, is
+    chain.link_poses(s).
     """
+    if poses is None:
+        poses = chain.link_poses(s)
     fixed_frame, fixed_pose = state.fixed_frame, state.fixed_pose
     if contact_switch is not None and contact_switch != fixed_frame:
         chain.frame_link(contact_switch)
         fixed_pose = G.compose(
-            fixed_pose, relative_fk(chain, s, fixed_frame, contact_switch))
+            fixed_pose, relative_fk(chain, s, fixed_frame, contact_switch,
+                                    poses))
         fixed_frame = contact_switch
     base = G.compose(fixed_pose,
-                     relative_fk(chain, s, fixed_frame, chain.base_link))
+                     relative_fk(chain, s, fixed_frame, chain.base_link,
+                                 poses))
     return OdometryState(fixed_frame, fixed_pose, base)
 
 
-def base_velocity_from_contact(chain, s, s_dot, stance_frame, base_pose):
-    """Mixed base twist implied by a stationary stance frame."""
+def base_velocity_from_contact(chain, s, s_dot, stance_frame, base_pose,
+                               poses=None):
+    """Mixed base twist implied by a stationary stance frame; poses, when
+    given, is chain.link_poses(s)."""
     s_dot = np.asarray(s_dot, dtype=float).reshape(-1)
-    jac = mixed_jacobian(chain, s, base_pose, stance_frame)
+    jac = mixed_jacobian(chain, s, base_pose, stance_frame, poses)
     return -np.linalg.solve(jac[:, :6], jac[:, 6:] @ s_dot)
 
 
@@ -351,11 +409,13 @@ def dynik_step(chain, state, targets, dt, damping=1e-6,
     if dt <= 0.0:
         raise G.InvalidArgumentError("dt must be positive")
     s = np.asarray(state.joint_positions, dtype=float)
+    poses = chain.link_poses(s)
     constraints = []
     for t in targets:
-        jac = mixed_jacobian(chain, s, state.base_pose, t.frame)
+        jac = mixed_jacobian(chain, s, state.base_pose, t.frame, poses)
         world = G.compose(state.base_pose,
-                          relative_fk(chain, s, chain.base_link, t.frame))
+                          relative_fk(chain, s, chain.base_link, t.frame,
+                                      poses))
         rows, target = [], []
         if t.position is not None:
             r_p = np.asarray(t.position, float) - G.se3_translation(world)

@@ -197,7 +197,7 @@ def generate_walk(profile: WalkProfile, seed=0) -> Trajectory:
             for name, val in ((f"{side}_hip", hp), (f"{side}_knee", kn),
                               (f"{side}_ankle", an)):
                 q[joint_order.index(name)] = val
-            foot_poses[side] = G.se3_element(np.eye(3), feet[side])
+            foot_poses[side] = G._trusted_se3(np.eye(3), feet[side])
         q_list.append(q)
         samples.append(dict(t=t, p=p.copy(), twist=twist, accel=accel, q=q,
                             feet=foot_poses, contacts=contacts))
@@ -211,7 +211,7 @@ def generate_walk(profile: WalkProfile, seed=0) -> Trajectory:
         qd = (q_next - q_prev) / span if span > 0 else np.zeros(chain.dof)
         out.append(TrajectorySample(
             t=raw["t"],
-            base_pose=G.se3_element(np.eye(3), raw["p"]),
+            base_pose=G._trusted_se3(np.eye(3), raw["p"]),
             base_twist=raw["twist"],
             joint_state=K.JointState(raw["q"], qd),
             foot_poses=raw["feet"],

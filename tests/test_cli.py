@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import lie_estimate.cli as cli
+import lie_estimate.estimators as E
 import lie_estimate.groups as G
+import lie_estimate.kinematics as K
+import lie_estimate.simdata as S
 
 
 def run_cli(*argv):
@@ -117,6 +120,76 @@ def test_run_parallel_matches_serial(short_walk, tmp_path):
             "--out", str(parallel / "e.csv"), "--trials", "2", "--parallel")
     for name in ("e_trial0.csv", "e_trial1.csv"):
         assert (serial / name).read_text() == (parallel / name).read_text()
+
+
+def test_run_trials_parse_their_inputs_once(short_walk, tmp_path,
+                                            monkeypatch):
+    log, _ = short_walk
+    reads = []
+    read = cli.read_sensor_log
+    monkeypatch.setattr(cli, "read_sensor_log",
+                        lambda path: reads.append(path) or read(path))
+    code = run_cli("run", log, "--estimator", "legged-odometry",
+                   "--out", str(tmp_path / "e.csv"), "--trials", "3")
+    assert code == 0
+    assert reads == [log]
+
+
+def test_run_parallel_kalman_trials_match_serial(short_walk, tmp_path):
+    log, _ = short_walk
+    argv = ["run", log, "--estimator", "diligent-kio", "--trials", "2",
+            "--init-rot-deg", "10", "--init-vel", "0.2"]
+    for name, extra in (("serial", []), ("parallel", ["--parallel"])):
+        (tmp_path / name).mkdir()
+        assert run_cli(*argv, "--out", str(tmp_path / name / "e.csv"),
+                       *extra) == 0
+    for name in ("e_trial0.csv", "e_trial1.csv"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "parallel" / name).read_bytes())
+
+
+def _without_imu(records, start, end):
+    return [r for r in records
+            if r["kind"] != "imu" or not start - 1e-9 <= r["t"] < end - 1e-9]
+
+
+@pytest.mark.parametrize("gap", [None, (1.2, 1.6)])
+def test_driver_dt_matches_the_stamp_lookup(short_walk, monkeypatch, gap):
+    log, _ = short_walk
+    records = cli.read_sensor_log(log)
+    if gap:
+        records = _without_imu(records, *gap)
+    times = sorted({r["t"] for r in records})
+
+    def by_lookup(t):
+        idx = times.index(t)
+        if idx + 1 < len(times):
+            return times[idx + 1] - t
+        return times[idx] - times[idx - 1] if idx > 0 else 0.01
+
+    expect = [by_lookup(r["t"]) for r in records if r["kind"] == "imu"]
+    got = []
+    dt = cli.driver_dt
+    monkeypatch.setattr(cli, "driver_dt",
+                        lambda *args: got.append(dt(*args)) or got[-1])
+    cli.run_estimator("swa", records, S.walker_chain(), E.NoiseConfig())
+    assert got == expect
+
+
+@pytest.mark.parametrize("name", ["diligent-kio", "codiligent-kio-rie",
+                                  "human-ekf", "swa", "legged-odometry"])
+def test_one_link_poses_call_per_encoder_record(short_walk, monkeypatch,
+                                                name):
+    log, _ = short_walk
+    records = cli.read_sensor_log(log)
+    calls = []
+    link_poses = K.KinematicChain.link_poses
+    monkeypatch.setattr(K.KinematicChain, "link_poses",
+                        lambda self, s: calls.append(1) or link_poses(self, s))
+    cli.run_estimator(name, records, S.walker_chain(), E.NoiseConfig())
+    encoders = sum(1 for r in records if r["kind"] == "encoder")
+    # plus the one call of the initial geometry
+    assert len(calls) == encoders + 1
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,47 @@ def test_filtering_still_runs_with_a_landmark_in_the_state():
         E.marginalize_landmark(st, "nope")
 
 
+@pytest.mark.parametrize("n_landmarks", [0, 2])
+def test_diligent_accessors_match_the_composite_parts(rng, n_landmarks):
+    state = random_diligent_state(rng)
+    for i in range(n_landmarks):
+        pose = G.exp(G.TangentVector(G.SE3, rng.standard_normal(6)))
+        state = E.augment_landmark(state, f"lm{i}", pose, 0.1 * np.eye(6))
+    parts = G.composite_parts(state.element)
+    core, bias = parts[0].matrix, parts[-1].matrix
+    assert np.array_equal(state.base_rotation, core[:3, :3])
+    assert np.array_equal(state.base_position, core[:3, 3])
+    assert np.array_equal(state.base_velocity, core[:3, 4])
+    assert np.array_equal(state.accel_bias, bias[:3, 6])
+    assert np.array_equal(state.gyro_bias, bias[3:6, 6])
+    assert state.base_pose.tag == G.SE3
+    assert np.array_equal(state.base_pose.matrix,
+                          G.se3_element(core[:3, :3], core[:3, 3]).matrix)
+    for side, part in (("left", parts[1]), ("right", parts[2])):
+        assert state.foot_pose(side).tag == G.SE3
+        assert np.array_equal(state.foot_pose(side).matrix, part.matrix)
+
+
+def test_human_accessors_match_the_composite_parts(rng):
+    state = make_human(v=np.array([0.2, -0.1, 0.05]),
+                       w=np.array([0.01, 0.02, -0.03]))
+    eps = 0.3 * rng.standard_normal(state.element.tag.algebra_dim)
+    state = H.HumanEkfState(G.compose(state.element, G.exp(
+        G.TangentVector(state.element.tag, eps))), state.covariance)
+    core, rate, left, right = (p.matrix for p in
+                               G.composite_parts(state.element))
+    assert np.array_equal(state.base_rotation, core[:3, :3])
+    assert np.array_equal(state.base_position, core[:3, 3])
+    assert np.array_equal(state.base_velocity, core[:3, 4])
+    assert np.array_equal(state.base_pose.matrix,
+                          G.se3_element(core[:3, :3], core[:3, 3]).matrix)
+    for i in range(H.N_VERTICES):
+        assert np.array_equal(state.vertex_position(i), core[:3, 5 + i])
+    assert np.array_equal(state.angular_velocity, rate[:3, 3])
+    assert np.array_equal(state.foot_rotation("left"), left)
+    assert np.array_equal(state.foot_rotation("right"), right)
+
+
 # ---------------------------------------------------------------------------
 # Human base estimator
 

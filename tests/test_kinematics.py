@@ -145,6 +145,94 @@ def test_load_chain_round_trip(tmp_path):
     assert np.abs(got.matrix - expect.matrix).max() < 1e-12
 
 
+def composed_link_poses(chain, s):
+    """Link poses by the plain composition parent * origin * joint rotation,
+    one joint at a time in any order that reaches parents first."""
+    poses = {chain.base_link: G.identity(G.SE3)}
+    pending = list(chain.joints)
+    while pending:
+        for j in [j for j in pending if j.parent in poses]:
+            theta = s[chain.joints.index(j)]
+            poses[j.child] = G.compose(G.compose(poses[j.parent], j.origin),
+                                       K.joint_transform(j.axis, theta))
+            pending.remove(j)
+    return poses
+
+
+def branched_chain_json():
+    """A torso with two three-joint arms and a head, joints listed children
+    first, with tilted axes and rotated origins."""
+    def origin(rng_xyz, rpy):
+        q = G.rotation_to_quaternion(G.rpy_to_rotation(*rpy).matrix)
+        return [*rng_xyz, *q]
+    joints = [
+        {"name": "l_wrist", "parent": "l_fore", "child": "l_hand",
+         "axis": [0.0, 0.6, 0.8], "origin": origin([0.25, 0, 0], [0.1, 0, 0])},
+        {"name": "neck", "parent": "torso", "child": "head",
+         "axis": [0, 0, 1], "origin": origin([0, 0, 0.3], [0, 0.2, 0])},
+        {"name": "l_elbow", "parent": "l_upper", "child": "l_fore",
+         "axis": [1, 0, 0], "origin": origin([0.3, 0, 0], [0, 0, 0.4])},
+        {"name": "l_shoulder", "parent": "torso", "child": "l_upper",
+         "axis": [0, 1, 0], "origin": origin([0, 0.2, 0.2], [0.3, -0.1, 0])},
+        {"name": "r_shoulder", "parent": "torso", "child": "r_upper",
+         "axis": [0, -1, 0], "origin": origin([0, -0.2, 0.2], [-0.3, 0.1, 0])},
+        {"name": "r_elbow", "parent": "r_upper", "child": "r_fore",
+         "axis": [0.0, 0.8, -0.6], "origin": origin([0.3, 0, 0], [0, 0, -0.4])},
+    ]
+    return {"base": "torso",
+            "links": ["torso", "head", "l_upper", "l_fore", "l_hand",
+                      "r_upper", "r_fore"],
+            "joints": joints,
+            "sensor_frames": [{"name": "l_palm", "link": "l_hand",
+                               "origin": [0.05, 0, 0, 1, 0, 0, 0]}]}
+
+
+@pytest.mark.parametrize("which", ["walker", "branched"])
+def test_link_poses_match_plain_composition(rng, tmp_path, which):
+    if which == "walker":
+        from lie_estimate import simdata as S
+        chain = S.walker_chain()
+    else:
+        path = tmp_path / "branched.json"
+        path.write_text(json.dumps(branched_chain_json()))
+        chain = K.load_chain(str(path))
+    for _ in range(20):
+        s = rng.uniform(-np.pi, np.pi, chain.dof)
+        got = chain.link_poses(s)
+        expect = composed_link_poses(chain, s)
+        assert set(got) == set(chain.links)
+        for link in chain.links:
+            assert got[link].tag == G.SE3
+            assert np.abs(got[link].matrix - expect[link].matrix).max() < 1e-12
+            G._check_element(G.SE3, got[link].matrix)
+
+
+def test_poses_keyword_gives_the_same_results(rng):
+    chain = make_biped()
+    s = 0.5 * rng.standard_normal(6)
+    poses = chain.link_poses(s)
+    base = random_element(G.SE3, rng)
+    pairs = [
+        (K.relative_fk(chain, s, "l_sole", "r_foot", poses).matrix,
+         K.relative_fk(chain, s, "l_sole", "r_foot").matrix),
+        (K.relative_jacobian_left_trivialized(chain, s, "pelvis", "r_sole",
+                                              poses),
+         K.relative_jacobian_left_trivialized(chain, s, "pelvis", "r_sole")),
+        (K.mixed_jacobian(chain, s, base, "l_sole", poses),
+         K.mixed_jacobian(chain, s, base, "l_sole")),
+        (K.base_velocity_from_contact(chain, s, np.ones(6), "l_sole", base,
+                                      poses),
+         K.base_velocity_from_contact(chain, s, np.ones(6), "l_sole", base)),
+    ]
+    for a, b in pairs:
+        assert np.array_equal(a, b)
+
+
+def test_joint_transform_rejects_a_non_unit_axis():
+    with pytest.raises(G.InvalidArgumentError):
+        K.joint_transform([0.0, 0.0, 2.0], 0.3)
+
+
 def test_non_tree_rejected():
     links = ["base", "a"]
     ident = G.identity(G.SE3)

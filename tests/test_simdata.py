@@ -24,6 +24,14 @@ def test_profile_validation():
         S.WalkProfile(duration=0.0)
 
 
+def test_walk_poses_are_valid_rigid_transforms(walk):
+    for sample in walk:
+        poses = [sample.base_pose, *sample.foot_poses.values()]
+        for pose in poses:
+            assert pose.tag == G.SE3
+            G._check_element(G.SE3, pose.matrix)
+
+
 def test_sample_count_and_monotone_time(walk):
     assert len(walk) == 1000
     times = [s.t for s in walk]
