@@ -385,40 +385,45 @@ class _HumanDriver:
         q = np.asarray(rec["positions"], float)
         qd = np.asarray(rec.get("velocities", np.zeros_like(q)), float)
         poses = self.chain.link_poses(q)
-        for i, side in enumerate(("left", "right")):
-            if not contacts.get(side):
-                continue
-            rel, cov = HE.vertex_position_measurement(
-                self.chain, q, f"{side}_sole", self.noise, poses=poses)
-            rot = K.relative_fk(self.chain, q, self.chain.base_link,
-                                f"{side}_sole", poses).matrix[:3, :3]
-            for j, (dx, dy) in enumerate(self.corners):
-                target = rel + rot @ np.array([dx, dy, 0.0])
-                self.state = HE.human_update_relative_contact_position(
-                    self.state, 4 * i + j, target, cov)
-                self.state = HE.human_update_terrain_height(
-                    self.state, 4 * i + j, 0.0, self.noise)
         stance = [s for s in ("left", "right") if contacts.get(s)]
-        if stance:
-            # a pinned sole turns the leg kinematics into a base velocity
-            # fix; an identity base pose keeps it in the body frame
-            twist = K.base_velocity_from_contact(
-                self.chain, q, qd, f"{stance[0]}_sole", G.identity(G.SE3),
-                poses=poses)
-            # finite-difference joint rates straddle touchdown, so gate the
-            # velocity fixes instead of letting an outlier wrench the state
+        if not stance:
+            return
+        verts, targets, covs = [], [], []
+        for side in stance:
+            frame = f"{side}_sole"
+            sole = K.relative_fk(self.chain, q, self.chain.base_link, frame,
+                                 poses)
+            rel, cov = HE.vertex_position_measurement(
+                self.chain, q, frame, self.noise, poses=poses, pose=sole)
+            rot = sole.matrix[:3, :3]
+            first = 0 if side == "left" else len(self.corners)
+            for j, (dx, dy) in enumerate(self.corners):
+                verts.append(first + j)
+                targets.append(rel + rot @ np.array([dx, dy, 0.0]))
+                covs.append(cov)
+        # the terrain rows copy their horizontal target from the estimate,
+        # so they go in a second stack, after the contact correction
+        self.state = HE.human_update_relative_contact_position(
+            self.state, verts, targets, covs)
+        self.state = HE.human_update_terrain_height(
+            self.state, verts, np.zeros(len(verts)), self.noise)
+        # a pinned sole turns the leg kinematics into a base velocity
+        # fix; an identity base pose keeps it in the body frame
+        twist = K.base_velocity_from_contact(
+            self.chain, q, qd, f"{stance[0]}_sole", G.identity(G.SE3),
+            poses=poses)
+        # finite-difference joint rates straddle touchdown, so gate the
+        # velocity fixes instead of letting an outlier wrench the state
+        for kind, update, value, sigma in (
+                ("linear", HE.human_update_zupt_linear, twist[:3],
+                 self.noise.foot_linear),
+                ("angular", HE.human_update_zupt_angular, twist[3:],
+                 self.noise.foot_angular)):
             try:
-                self.state = HE.human_update_zupt_linear(
-                    self.state, twist[:3],
-                    self.noise.foot_linear ** 2 * np.eye(3), gate=self.gate)
-            except FC.MeasurementRejected:
-                pass
-            try:
-                self.state = HE.human_update_zupt_angular(
-                    self.state, twist[3:],
-                    self.noise.foot_angular ** 2 * np.eye(3), gate=self.gate)
-            except FC.MeasurementRejected:
-                pass
+                self.state = update(self.state, value, sigma ** 2 * np.eye(3),
+                                    gate=self.gate)
+            except FC.MeasurementRejected as err:
+                log.debug("t=%.6f: %s ZUPT rejected: %s", rec["t"], kind, err)
 
     def estimate(self):
         return (self.state.base_position.copy(),

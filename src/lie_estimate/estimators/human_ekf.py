@@ -12,6 +12,15 @@ contact-point position and both zero-velocity updates act on the raw state
 columns; terrain height and the base gyro act on body-frame quantities and
 wrap a covariance transport; foot rotation, contact plane, and the
 non-invariant terrain variant are plain group-valued measurements.
+
+The contact-point and invariant terrain updates also take a sequence of
+vertex indices and fold all of their rows into one update: one gain, and
+for terrain one covariance transport each way. The CLI driver does one
+contact stack and then one terrain stack per encoder sample, over the
+vertices of every stance shoe. Contact goes first because the terrain rows
+copy their horizontal target from the estimate, which the contact
+correction moves; a single stack of both would take it from the estimate
+before that correction.
 """
 
 from __future__ import annotations
@@ -53,6 +62,17 @@ def _vslot(i):
     if not 0 <= i < N_VERTICES:
         raise G.InvalidArgumentError(f"vertex index {i} out of range")
     return slice(9 + 3 * i, 12 + 3 * i)
+
+
+def _vertex_list(vertex):
+    """(indices, single) for one vertex index or a sequence of them."""
+    single = np.ndim(vertex) == 0
+    verts = np.atleast_1d(np.asarray(vertex, dtype=int))
+    if verts.ndim != 1 or verts.size == 0:
+        raise G.InvalidArgumentError("need one vertex index or a sequence")
+    for i in verts:
+        _vslot(i)
+    return verts, single
 
 
 @dataclass(frozen=True)
@@ -200,19 +220,29 @@ def human_update_relative_contact_position(state, vertex, rel_position,
 
     rel_position is the base-frame vector to vertex i; covariance is its
     base-frame noise (typically the joint noise through the position rows of
-    the relative Jacobian).
+    the relative Jacobian). vertex may also be a sequence of indices; then
+    rel_position and covariance hold one 3-vector and one 3x3 matrix per
+    vertex, and all of them go into one stacked update.
     """
-    b = np.zeros(_MDIM)
-    b[_COL_P] = 1.0
-    _vslot(vertex)
-    b[_COL_D0 + vertex] = -1.0
+    verts, single = _vertex_list(vertex)
+    m = len(verts)
+    rel = np.asarray(rel_position, float).reshape(m, 3)
+    covs = np.asarray(covariance, float).reshape(m, 3, 3)
+    b = np.zeros((m, _MDIM))
+    b[:, _COL_P] = 1.0
+    b[np.arange(m), _COL_D0 + verts] = -1.0
     z = b.copy()
-    z[0:3] = np.asarray(rel_position, float).reshape(3)
-    h = np.zeros((3, _DIM))
-    h[:, _P] = np.eye(3)
-    h[:, _vslot(vertex)] = -np.eye(3)
+    z[:, 0:3] = rel
+    h = np.zeros((3 * m, _DIM))
+    n = np.zeros((3 * m, 3 * m))
     r = state.base_rotation
-    n = r @ np.asarray(covariance, float) @ r.T + 1e-12 * np.eye(3)
+    for j, v in enumerate(verts):
+        rows = slice(3 * j, 3 * j + 3)
+        h[rows, _P] = np.eye(3)
+        h[rows, _vslot(v)] = -np.eye(3)
+        n[rows, rows] = r @ covs[j] @ r.T + 1e-12 * np.eye(3)
+    if single:
+        z, b = z[0], b[0]
     return _invariant_update(state, z, b, h, n, "right", slice(0, 3), gate)
 
 
@@ -265,23 +295,36 @@ def human_update_terrain_height(state, vertex, height,
     Only the vertical component is informative; the horizontal components
     are copied from the estimate and carry inflated noise. The invariant
     flag switches between the body-frame update (with covariance transport)
-    and the plain world-frame one.
+    and the plain world-frame one. In the invariant form vertex may also be
+    a sequence of indices with one height each; all of them go into one
+    stacked update, which transports the covariance once each way.
     """
-    d_hat = state.vertex_position(vertex)
-    target = np.array([d_hat[0], d_hat[1], float(height)])
+    verts, single = _vertex_list(vertex)
+    heights = np.asarray(height, float).reshape(len(verts))
     cov = np.diag([1e6 * noise.terrain_height ** 2,
                    1e6 * noise.terrain_height ** 2,
                    noise.terrain_height ** 2])
     if invariant:
-        b = np.zeros(_MDIM)
-        b[_COL_D0 + vertex] = 1.0
+        m = len(verts)
+        b = np.zeros((m, _MDIM))
+        b[np.arange(m), _COL_D0 + verts] = 1.0
         z = b.copy()
-        z[0:3] = target
-        h = np.zeros((3, _DIM))
-        h[:, _vslot(vertex)] = -np.eye(3)
+        z[:, 0:2] = state.element.matrix[0:2, _COL_D0 + verts].T
+        z[:, 2] = heights
+        h = np.zeros((3 * m, _DIM))
+        for j, v in enumerate(verts):
+            h[3 * j:3 * j + 3, _vslot(v)] = -np.eye(3)
         r = state.base_rotation
-        n = r.T @ cov @ r
+        n = np.kron(np.eye(m), r.T @ cov @ r)
+        if single:
+            z, b = z[0], b[0]
         return _invariant_update(state, z, b, h, n, "left", slice(0, 3), gate)
+    if not single:
+        raise G.InvalidArgumentError(
+            "the non-invariant terrain update takes one vertex")
+    vertex = verts[0]
+    d_hat = state.vertex_position(vertex)
+    target = np.array([d_hat[0], d_hat[1], heights[0]])
     h = np.zeros((3, _DIM))
     h[:, _R] = -G.skew(d_hat)
     h[:, _vslot(vertex)] = np.eye(3)
@@ -330,14 +373,17 @@ def human_update_contact_plane(state, side, plane_rotation, covariance,
 
 
 def vertex_position_measurement(chain, joint_positions, vertex_frame,
-                                noise: NoiseConfig = HUMAN_NOISE, poses=None):
+                                noise: NoiseConfig = HUMAN_NOISE, poses=None,
+                                pose=None):
     """Relative base-to-vertex position and its base-frame covariance;
-    poses, when given, is chain.link_poses(joint_positions)."""
+    poses, when given, is chain.link_poses(joint_positions), and pose is
+    the base-to-vertex_frame relative_fk result."""
     from .. import kinematics as K
     if poses is None:
         poses = chain.link_poses(joint_positions)
-    pose = K.relative_fk(chain, joint_positions, chain.base_link, vertex_frame,
-                         poses)
+    if pose is None:
+        pose = K.relative_fk(chain, joint_positions, chain.base_link,
+                             vertex_frame, poses)
     jac = K.relative_jacobian_left_trivialized(
         chain, joint_positions, chain.base_link, vertex_frame, poses)
     rot = pose.matrix[:3, :3]

@@ -10,6 +10,7 @@ values are exposed alongside.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, asdict
 
@@ -87,6 +88,15 @@ def ate(truth, estimate, side="left"):
             (sq_rot / n, sq_pos / n, sq_vel / n))
 
 
+def _increments(samples, interval):
+    """Pose increments over `interval` samples. Each pose starts one
+    increment and ends another; tee builds it once and keeps only the
+    poses between the two ends."""
+    starts, ends = itertools.tee(s.pose for s in samples)
+    for a, b in zip(starts, itertools.islice(ends, interval, None)):
+        yield G.compose(G.inverse(a), b)
+
+
 def rpe(truth, estimate, interval=1, side="left"):
     """Relative pose error over a fixed sample interval.
 
@@ -98,11 +108,8 @@ def rpe(truth, estimate, interval=1, side="left"):
         raise G.InvalidArgumentError("interval must be in [1, n)")
     sq_rot = sq_pos = 0.0
     count = 0
-    for k in range(len(truth) - interval):
-        inc_true = G.compose(G.inverse(truth[k].pose),
-                             truth[k + interval].pose)
-        inc_est = G.compose(G.inverse(estimate[k].pose),
-                            estimate[k + interval].pose)
+    for inc_true, inc_est in zip(_increments(truth, interval),
+                                 _increments(estimate, interval)):
         err = G.compose(G.inverse(inc_est), inc_true)
         vec = G.logvee(err)
         if side == "right":

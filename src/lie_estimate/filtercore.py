@@ -177,19 +177,28 @@ def invekf_update(belief, z, b, h, n, side, selector=None,
     side "left" handles z = X b + n with a right-multiplied error. The
     selector picks the informative rows of the raw innovation; h must be
     the derivative of the selected innovation with respect to the error.
+
+    z and b may also be (m, matrix_dim) arrays holding one observation per
+    row. The selector is applied to each row and the selected innovations
+    are concatenated, so h is (m*s, d) and n is (m*s, m*s) for an (s,
+    matrix_dim) selector. The whole stack gets one gain and one correction.
     """
     x = belief.mean
-    z = np.asarray(z, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if z.shape[0] != x.tag.matrix_dim or b.shape[0] != x.tag.matrix_dim:
+    z = np.asarray(z, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if z.ndim != 2 or b.ndim != 2:
+        z, b = z.reshape(1, -1), b.reshape(1, -1)
+    if z.shape != b.shape or z.shape[1] != x.tag.matrix_dim:
         raise G.InvalidArgumentError("observation length must match matrix size")
     if side == "right":
-        raw = x.matrix @ z - b
+        raw = z @ x.matrix.T - b
     elif side == "left":
-        raw = G.inverse(x).matrix @ z - b
+        raw = z @ G.inverse(x).matrix.T - b
     else:
         raise G.InvalidArgumentError("side must be 'left' or 'right'")
-    innovation = raw if selector is None else np.asarray(selector, float) @ raw
+    if selector is not None:
+        raw = raw @ np.asarray(selector, float).T
+    innovation = raw.reshape(-1)
     h = np.asarray(h, dtype=float)
     k, m = _gain_and_offset(belief.covariance, h, n, innovation, gate)
     step = G.exp(G.TangentVector(x.tag, -m))

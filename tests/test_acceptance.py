@@ -353,6 +353,25 @@ def test_human_measurement_jacobians_match_finite_differences():
         assert np.abs(analytic - fd).max() <= _rel_tol(analytic)
 
 
+def test_stacked_human_measurement_jacobians_match_finite_differences():
+    state = _generic_human_state()
+    verts = [1, 2, 6]
+    rel = [state.base_rotation.T
+           @ (state.vertex_position(v) - state.base_position) for v in verts]
+    covs = [np.diag([4e-4, 5e-4, 6e-4]) * (1 + j) for j in range(len(verts))]
+    heights = [state.vertex_position(v)[2] for v in verts]
+    for fn, args in ((H.human_update_relative_contact_position,
+                      (verts, rel, covs)),
+                     (H.human_update_terrain_height, (verts, heights))):
+        rec = _capture_raw_update(fn, state, *args)
+        assert rec["z"].shape == rec["b"].shape == (len(verts), 23)
+        # the stacked innovation is the selected rows, one after another
+        fd = np.vstack([_fd_raw_update_h(state, dict(rec, z=z, b=b))
+                        for z, b in zip(rec["z"], rec["b"])])
+        assert rec["h"].shape == (3 * len(verts), 42)
+        assert np.abs(rec["h"] - fd).max() <= _rel_tol(rec["h"])
+
+
 # ---------------------------------------------------------------------------
 # structural properties of the invariant error
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, IO formats, exit codes."""
 
 import json
+import logging
 import os
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 
 import lie_estimate.cli as cli
 import lie_estimate.estimators as E
+import lie_estimate.filtercore as FC
 import lie_estimate.groups as G
 import lie_estimate.kinematics as K
 import lie_estimate.simdata as S
+import lie_estimate.uncertainty as U
+from lie_estimate.estimators import human_ekf as HE
 
 
 def run_cli(*argv):
@@ -190,6 +194,80 @@ def test_one_link_poses_call_per_encoder_record(short_walk, monkeypatch,
     encoders = sum(1 for r in records if r["kind"] == "encoder")
     # plus the one call of the initial geometry
     assert len(calls) == encoders + 1
+
+
+def test_human_driver_does_one_contact_and_one_terrain_stack(short_walk,
+                                                             monkeypatch):
+    log, _ = short_walk
+    records = cli.read_sensor_log(log)
+    events = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs:
+                            events.append(name) or fn(*args, **kwargs))
+
+    for owner, name in ((HE, "human_update_relative_contact_position"),
+                        (HE, "human_update_terrain_height"),
+                        (U, "transport_covariance"), (K, "relative_fk")):
+        counted(owner, name)
+    on_imu, on_encoder = cli._HumanDriver.on_imu, cli._HumanDriver.on_encoder
+    monkeypatch.setattr(cli._HumanDriver, "on_imu", lambda self, *args:
+                        events.append(("imu", 0)) or on_imu(self, *args))
+    monkeypatch.setattr(
+        cli._HumanDriver, "on_encoder", lambda self, rec, contacts, dt:
+        events.append(("encoder", sum(map(bool, contacts.values()))))
+        or on_encoder(self, rec, contacts, dt))
+    cli.run_estimator("human-ekf", records, S.walker_chain(), E.NoiseConfig())
+
+    # split the calls by the driver step that made them; the initial
+    # geometry comes first and computes both soles
+    steps = [[("init", 0)]]
+    for event in events:
+        if isinstance(event, tuple):
+            steps.append([event])
+        else:
+            steps[-1].append(event)
+    assert steps[0].count("relative_fk") == 2
+    stance_samples = 0
+    for (kind, stance), *calls in steps[1:]:
+        stacks = 1 if kind == "encoder" and stance else 0
+        stance_samples += stacks
+        assert calls.count("human_update_relative_contact_position") == stacks
+        assert calls.count("human_update_terrain_height") == stacks
+        # one base-to-sole pose per stance foot
+        assert calls.count("relative_fk") == (stance if stacks else 0)
+        assert calls.count("transport_covariance") <= 2
+    assert stance_samples > 0
+    imu = sum(1 for r in records if r["kind"] == "imu")
+    assert events.count("transport_covariance") <= 2 * (stance_samples + imu)
+
+
+def test_rejected_zupts_are_logged(short_walk, monkeypatch, caplog):
+    log, _ = short_walk
+    records = cli.read_sensor_log(log)
+    monkeypatch.setattr(cli._HumanDriver, "gate", -1.0)  # rejects everything
+    with caplog.at_level(logging.DEBUG, logger="lie_estimate"):
+        rejected = cli.run_estimator("human-ekf", records, S.walker_chain(),
+                                     E.NoiseConfig())
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "lie_estimate" and r.levelno == logging.DEBUG]
+    stance = sum(1 for r in records
+                 if r["kind"] == "contact" and (r["left"] or r["right"]))
+    assert len(messages) == 2 * stance
+    assert sum("linear ZUPT rejected" in m for m in messages) == stance
+    assert all("innovation gate failed" in m and m.startswith("t=")
+               for m in messages)
+    # the log records the rejection and nothing else: the estimates equal
+    # a replay with the ZUPTs left out
+    def reject(*args, **kwargs):
+        raise FC.MeasurementRejected("left out")
+    monkeypatch.setattr(HE, "human_update_zupt_linear", reject)
+    monkeypatch.setattr(HE, "human_update_zupt_angular", reject)
+    skipped = cli.run_estimator("human-ekf", records, S.walker_chain(),
+                                E.NoiseConfig())
+    for a, b in zip(rejected, skipped):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,55 @@ def test_human_terrain_height_moves_only_the_vertical(invariant):
     assert np.linalg.norm(after[:2] - before[:2]) < 0.15 * vertical_move
 
 
+def _captured_invariant_updates(monkeypatch):
+    calls = []
+    update = FC.invekf_update
+
+    def spy(belief, z, b, h, n, side, **kwargs):
+        calls.append(dict(z=np.atleast_2d(z), b=np.atleast_2d(b), h=h, n=n,
+                          side=side))
+        return update(belief, z, b, h, n, side, **kwargs)
+    monkeypatch.setattr(FC, "invekf_update", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["contact", "terrain"])
+def test_human_stacked_update_stacks_the_single_vertex_rows(monkeypatch, kind):
+    pose = G.se3_element(G.rpy_to_rotation(0.1, -0.2, 0.7).matrix,
+                         [0.1, 0.2, 1.0])
+    base = make_human()
+    st = H.human_initial_state(
+        pose, np.zeros(3), [base.vertex_position(i) for i in range(8)],
+        np.zeros(3), np.eye(3), np.eye(3))
+    verts = [2, 5, 7]
+    if kind == "contact":
+        rels = [np.array([0.1, 0.2, -0.9]) * (1 + j) for j in range(3)]
+        covs = [np.diag([1e-4, 2e-4, 3e-4]) * (1 + j) for j in range(3)]
+        stacked_args = (verts, rels, covs)
+        single_args = list(zip(verts, rels, covs))
+        fn = H.human_update_relative_contact_position
+    else:
+        heights = [-0.01, 0.02, 0.03]
+        stacked_args = (verts, heights)
+        single_args = list(zip(verts, heights))
+        fn = H.human_update_terrain_height
+        with pytest.raises(G.InvalidArgumentError):
+            fn(st, verts, heights, invariant=False)
+    calls = _captured_invariant_updates(monkeypatch)
+    fn(st, *stacked_args)
+    for args in single_args:
+        fn(st, *args)
+    stacked, singles = calls[0], calls[1:]
+    assert all(c["side"] == stacked["side"] for c in singles)
+    for key in ("z", "b", "h"):
+        assert np.array_equal(stacked[key],
+                              np.vstack([c[key] for c in singles]))
+    n = np.zeros((9, 9))
+    for j, c in enumerate(singles):
+        n[3 * j:3 * j + 3, 3 * j:3 * j + 3] = c["n"]
+    assert np.array_equal(stacked["n"], n)
+
+
 def test_human_foot_rotation_updates_converge():
     st = make_human()
     target = G.exp(G.TangentVector(G.SO3, [0.0, 0.1, 0.0])).matrix

@@ -83,6 +83,39 @@ def test_rpe_of_a_uniform_drift_telescopes():
         assert np.isclose(rpe_pos, e * np.linalg.norm(delta), rtol=1e-6)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rpe_builds_each_pose_once_with_unchanged_results(monkeypatch, side):
+    truth = make_trajectory(seed=10)
+    est = make_trajectory(seed=11)
+    sq_rot = sq_pos = 0.0  # reference: each increment builds its own poses
+    for k in range(len(truth) - 4):
+        inc_true = G.compose(G.inverse(truth[k].pose), truth[k + 4].pose)
+        inc_est = G.compose(G.inverse(est[k].pose), est[k + 4].pose)
+        vec = G.logvee(G.compose(G.inverse(inc_est), inc_true))
+        if side == "right":
+            vec = G.adjoint(inc_est) @ vec
+        sq_pos += float(vec[:3] @ vec[:3])
+        sq_rot += float(vec[3:] @ vec[3:])
+    count = len(truth) - 4
+    built = []
+    se3_element = G.se3_element
+    monkeypatch.setattr(G, "se3_element",
+                        lambda *args: built.append(1) or se3_element(*args))
+    assert EV.rpe(truth, est, interval=4, side=side) == (
+        np.sqrt(sq_rot / count), np.sqrt(sq_pos / count))
+    assert len(built) == len(truth) + len(est)
+
+
+def test_rpe_rejects_a_non_orthonormal_rotation():
+    truth = make_trajectory(n=10)
+    bad = list(truth)
+    bad[6] = EV.PoseSample(bad[6].t, 1.01 * bad[6].rotation, bad[6].position,
+                           bad[6].velocity)
+    for a, b in ((truth, bad), (bad, truth)):
+        with pytest.raises(G.InvalidArgumentError):
+            EV.rpe(a, b, interval=2)
+
+
 def test_align_first_pose_matches_and_preserves_increments():
     truth = make_trajectory(seed=5)
     est = make_trajectory(seed=6)

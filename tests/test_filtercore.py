@@ -305,6 +305,33 @@ def test_invekf_left_update_euclidean_reduction(rng):
     assert np.abs(out.mean.matrix[:3, 3] - (x_hat + k @ (y - x_hat))).max() < 1e-12
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_invekf_stacked_update_equals_rows_applied_one_by_one(rng, side):
+    # linear Gaussian case: one stacked update is the sequential updates
+    x_hat = rng.standard_normal(3)
+    p0 = spd(3, rng)
+    sign = 1.0 if side == "right" else -1.0
+    selector = np.hstack([np.eye(3), np.zeros((3, 1))])
+    b = np.hstack([rng.standard_normal((3, 3)), np.ones((3, 1))])
+    z = np.hstack([rng.standard_normal((3, 3)), np.ones((3, 1))])
+    noises = [spd(3, rng, 0.3) for _ in range(3)]
+    n = np.zeros((9, 9))
+    for j, nj in enumerate(noises):
+        n[3 * j:3 * j + 3, 3 * j:3 * j + 3] = nj
+    belief = FC.BeliefState(G.tn_element(x_hat), p0)
+    stacked = FC.invekf_update(belief, z, b, sign * np.vstack([np.eye(3)] * 3),
+                               n, side, selector=selector)
+    one_by_one = belief
+    for zj, bj, nj in zip(z, b, noises):
+        one_by_one = FC.invekf_update(one_by_one, zj, bj, sign * np.eye(3),
+                                      nj, side, selector=selector)
+    assert np.abs(stacked.mean.matrix - one_by_one.mean.matrix).max() < 1e-12
+    assert np.abs(stacked.covariance - one_by_one.covariance).max() < 1e-12
+    with pytest.raises(G.InvalidArgumentError):
+        FC.invekf_update(belief, z[:2], b, np.zeros((6, 3)), np.eye(6), side,
+                         selector=selector)
+
+
 def test_invekf_right_update_reduces_rotation_error(rng):
     x_true = random_element(SE23, rng)
     eps = 0.05 * rng.standard_normal(9)
