@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -31,9 +33,6 @@ from .estimators import human_ekf as HE
 from .estimators.diligent import ImuInput
 
 log = logging.getLogger("lie_estimate")
-
-ESTIMATORS = ("swa", "diligent-kio", "diligent-kio-rie", "codiligent-kio",
-              "codiligent-kio-rie", "human-ekf", "legged-odometry")
 
 CSV_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz",
               "vx", "vy", "vz"]
@@ -88,7 +87,41 @@ def read_trajectory_csv(path):
     return samples
 
 
+def _finite_numbers(value, length=0):
+    """True for a non-empty list of finite numbers, of the given length if
+    one is given."""
+    try:
+        return (type(value) is list
+                and (len(value) == length if length else len(value) > 0)
+                and all(map(math.isfinite, value)))
+    except (TypeError, OverflowError):
+        return False
+
+
+def _record_problem(rec):
+    """What is wrong with the fields of a record that the replay reads
+    (wrench records are not replayed), or None. read_sensor_log checks
+    the times of all records at once."""
+    kind = rec["kind"]
+    if kind == "imu":
+        if not (_finite_numbers(rec.get("accel"), 3)
+                and _finite_numbers(rec.get("gyro"), 3)):
+            return "imu accel and gyro must be 3 finite numbers each"
+    elif kind == "encoder":
+        q = rec.get("positions")
+        if not _finite_numbers(q):
+            return "encoder positions must be finite numbers"
+        if "velocities" in rec and not _finite_numbers(rec["velocities"],
+                                                       len(q)):
+            return "encoder velocities must be finite, one per position"
+    elif kind == "contact" and not ("left" in rec and "right" in rec):
+        return "contact needs left and right flags"
+    return None
+
+
 def read_sensor_log(path):
+    """Parse and check a JSON Lines sensor log; records come back sorted
+    by time. Raises InputError for any record the replay cannot use."""
     records = []
     last_t = {}
     try:
@@ -98,9 +131,14 @@ def read_sensor_log(path):
                 if not line:
                     continue
                 rec = json.loads(line)
+                if type(rec) is not dict:
+                    raise InputError(f"{path}:{line_no}: not a JSON object")
                 kind = rec.get("kind")
                 if kind not in ("imu", "encoder", "wrench", "contact"):
                     raise InputError(f"{path}:{line_no}: bad kind {kind!r}")
+                problem = _record_problem(rec)
+                if problem:
+                    raise InputError(f"{path}:{line_no}: {problem}")
                 key = (kind, rec.get("foot"))
                 if key in last_t and rec["t"] < last_t[key]:
                     raise InputError(f"{path}:{line_no}: time went backwards")
@@ -112,6 +150,8 @@ def read_sensor_log(path):
         raise InputError(f"cannot parse log {path}: {exc}") from exc
     if not records:
         raise InputError(f"{path}: empty log")
+    if not _finite_numbers([r["t"] for r in records]):
+        raise InputError(f"{path}: every record needs a finite time t")
     records.sort(key=lambda r: r["t"])
     return records
 
@@ -158,6 +198,15 @@ def _load_noise(path):
 
 # ---------------------------------------------------------------------------
 # run
+
+
+def _check_joint_count(records, chain, path):
+    """Every encoder record holds one position per chain joint, and the
+    replay starts from the first of them, so there must be one."""
+    found = {len(r["positions"]) for r in records if r["kind"] == "encoder"}
+    if found != {chain.dof}:
+        raise InputError(f"{path}: the chain has {chain.dof} joints; encoder "
+                         f"records hold {sorted(found) or 'none'}")
 
 
 def _initial_geometry(chain, q):
@@ -232,25 +281,27 @@ def driver_dt(times, idx):
 
 
 class _DiligentDriver:
-    variant = "discrete"
-    rie = False
+    """The DILIGENT-KIO family: discrete or continuous linearization, with
+    the error on the given side of the mean ("left" is the -rie variant)."""
 
-    def __init__(self, chain, noise, base0, v0, feet0):
+    def __init__(self, chain, noise, base0, v0, feet0, continuous, side):
         self.chain = chain
         self.noise = noise
+        self.continuous = continuous
+        self.side = side
         self.state = E.diligent_initial_state(base0, v0, feet0["left"],
                                               feet0["right"], noise)
 
     def on_imu(self, rec, contacts, dt):
         imu = ImuInput(np.asarray(rec["accel"], float),
                        np.asarray(rec["gyro"], float), dt)
-        if self.variant == "discrete":
-            fn = E.diligent_rie_predict if self.rie else E.diligent_predict
-            self.state = fn(self.state, imu, contacts, self.noise)
-        else:
+        if self.continuous:
             self.state = E.codiligent_predict(
                 self.state, imu, contacts, self.noise,
-                "rie" if self.rie else "lie")
+                "rie" if self.side == "left" else "lie")
+        else:
+            self.state = E.diligent_predict(self.state, imu, contacts,
+                                            self.noise, side=self.side)
 
     def on_encoder(self, rec, contacts, dt):
         meas = []
@@ -262,27 +313,13 @@ class _DiligentDriver:
                                                self.noise, poses=poses)
                 meas.append((side, z, n))
         if meas:
-            fn = E.diligent_rie_update if self.rie else E.diligent_update
-            self.state = fn(self.state, meas)
+            self.state = E.diligent_update(self.state, meas, side=self.side)
 
     def estimate(self):
         # copies: views would keep every step's whole state matrix alive
         return (self.state.base_position.copy(),
                 self.state.base_rotation.copy(),
                 self.state.base_velocity.copy())
-
-
-class _DiligentRie(_DiligentDriver):
-    rie = True
-
-
-class _Codiligent(_DiligentDriver):
-    variant = "continuous"
-
-
-class _CodiligentRie(_DiligentDriver):
-    variant = "continuous"
-    rie = True
 
 
 class _OdometryDriver:
@@ -432,14 +469,20 @@ class _HumanDriver:
 
 
 _DRIVERS = {
-    "diligent-kio": _DiligentDriver,
-    "diligent-kio-rie": _DiligentRie,
-    "codiligent-kio": _Codiligent,
-    "codiligent-kio-rie": _CodiligentRie,
-    "legged-odometry": _OdometryDriver,
     "swa": _SwaDriver,
+    "diligent-kio": functools.partial(
+        _DiligentDriver, continuous=False, side="right"),
+    "diligent-kio-rie": functools.partial(
+        _DiligentDriver, continuous=False, side="left"),
+    "codiligent-kio": functools.partial(
+        _DiligentDriver, continuous=True, side="right"),
+    "codiligent-kio-rie": functools.partial(
+        _DiligentDriver, continuous=True, side="left"),
     "human-ekf": _HumanDriver,
+    "legged-odometry": _OdometryDriver,
 }
+
+ESTIMATORS = tuple(_DRIVERS)
 
 
 def _replay(task):
@@ -453,11 +496,9 @@ def _replay(task):
 
 
 def cmd_run(args):
-    if args.estimator not in ESTIMATORS:
-        # argparse choices already guard this; double-check for API callers
-        raise G.InvalidArgumentError(f"unknown estimator {args.estimator!r}")
     records = read_sensor_log(args.log)
     chain = K.load_chain(args.chain) if args.chain else S.walker_chain()
+    _check_joint_count(records, chain, args.log)
     noise = _load_noise(args.config)
     if args.trials <= 1:
         outs = [(args.seed, args.out)]

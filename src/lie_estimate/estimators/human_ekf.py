@@ -11,7 +11,8 @@ Updates come in three flavors, dispatched to the matching engine:
 contact-point position and both zero-velocity updates act on the raw state
 columns; terrain height and the base gyro act on body-frame quantities and
 wrap a covariance transport; foot rotation, contact plane, and the
-non-invariant terrain variant are plain group-valued measurements.
+non-invariant terrain variant are plain group-valued measurements, fused
+by the discrete filter with the error on the left (side="left").
 
 The contact-point and invariant terrain updates also take a sequence of
 vertex indices and fold all of their rows into one update: one gain, and
@@ -331,9 +332,9 @@ def human_update_terrain_height(state, vertex, height,
     model = FC.GroupMeasurementModel(
         h=lambda x: G.tn_element(state.vertex_position(vertex)),
         jacobian=lambda x: h, noise=lambda x: cov)
-    belief = FC.dlgekf_rie_update(
+    belief = FC.dlgekf_update(
         FC.BeliefState(state.element, state.covariance), model,
-        G.tn_element(target), gate=gate)
+        G.tn_element(target), side="left", gate=gate)
     return HumanEkfState(belief.mean, belief.covariance)
 
 
@@ -350,9 +351,9 @@ def human_update_relative_foot_rotation(state, side, measured_rotation,
         h=lambda x: G.so3_element(r.T @ z_f),
         jacobian=lambda x: h,
         noise=lambda x: np.asarray(covariance, float) + 1e-12 * np.eye(3))
-    belief = FC.dlgekf_rie_update(
+    belief = FC.dlgekf_update(
         FC.BeliefState(state.element, state.covariance), model,
-        G.so3_element(measured_rotation), gate=gate)
+        G.so3_element(measured_rotation), side="left", gate=gate)
     return HumanEkfState(belief.mean, belief.covariance)
 
 
@@ -366,9 +367,9 @@ def human_update_contact_plane(state, side, plane_rotation, covariance,
         h=lambda x: G.so3_element(z_f),
         jacobian=lambda x: h,
         noise=lambda x: np.asarray(covariance, float))
-    belief = FC.dlgekf_rie_update(
+    belief = FC.dlgekf_update(
         FC.BeliefState(state.element, state.covariance), model,
-        G.so3_element(plane_rotation), gate=gate)
+        G.so3_element(plane_rotation), side="left", gate=gate)
     return HumanEkfState(belief.mean, belief.covariance)
 
 

@@ -11,15 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import groups as G
-from .diligent import DiligentState, _slot
-
-
-def _split_indices(n_landmarks, dim):
-    """(head, landmark block list, tail) index arrays of the error vector."""
-    head = np.arange(0, 21)
-    blocks = [np.arange(21 + 6 * i, 27 + 6 * i) for i in range(n_landmarks)]
-    tail = np.arange(21 + 6 * n_landmarks, dim)
-    return head, blocks, tail
+from .diligent import DiligentState
 
 
 def augment_landmark(state, landmark_id, pose, prior_covariance) -> DiligentState:
@@ -64,10 +56,3 @@ def landmark_pose(state, landmark_id) -> G.GroupElement:
     idx = state.landmark_ids.index(landmark_id)
     return G.composite_parts(state.element)[3 + idx]
 
-
-def landmark_slot(state, landmark_id) -> slice:
-    """Rows/columns of the landmark's error block in the covariance."""
-    if landmark_id not in state.landmark_ids:
-        raise G.InvalidArgumentError(f"unknown landmark {landmark_id!r}")
-    idx = state.landmark_ids.index(landmark_id)
-    return _slot("lm", len(state.landmark_ids), landmark=idx)

@@ -1,14 +1,13 @@
 """Kalman filtering engines on matrix Lie groups.
 
-Three engines, all pure functions of (belief, model, input):
+Two engines, all pure functions of (belief, model, input):
 
-  * dlgekf_predict / dlgekf_update           - discrete filter whose error
-    lives on the right of the mean (X = mean * exp(err)).
-  * dlgekf_rie_predict / dlgekf_rie_update   - the mirrored variant with the
-    error on the left (X = exp(err) * mean).
+  * dlgekf_predict / dlgekf_update           - discrete filter; one function
+    per step, whose side argument is the error side: "right" keeps
+    X = mean * exp(err), "left" keeps X = exp(err) * mean.
   * invekf_propagate / invekf_update         - continuous-discrete invariant
     filter for group-affine dynamics with left- or right-invariant vector
-    observations.
+    observations; here side names the observation side.
 
 Error/correction bookkeeping for the invariant engine: with a right-side
 observation z = X^-1 b + n and error estimate = exp(err) * truth, the raw
@@ -18,6 +17,7 @@ exp(-gain*innovation) * mean; the left-side case mirrors this.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,55 +89,35 @@ def _gain_and_offset(p, h, n, innovation, gate):
     return k, k @ innovation
 
 
-def dlgekf_predict(belief, model: MotionModel, u, dt) -> BeliefState:
-    """Right-error prediction: mean moves by exp of the motion increment."""
+def dlgekf_predict(belief, model: MotionModel, u, dt,
+                   side="right") -> BeliefState:
+    """The mean moves by exp of the motion increment. side is the error
+    side, "right" (X = mean * exp(err)) or "left" (X = exp(err) * mean);
+    the motion Jacobian is given in the same terms."""
+    if side not in ("right", "left"):
+        raise G.InvalidArgumentError("side must be 'right' or 'left'")
     x = belief.mean
     omega = model.motion(x, u, dt)
     f_input = np.asarray(model.jacobian(x, u, dt), dtype=float)
     q = np.asarray(model.noise(x, u, dt), dtype=float)
-    jr = G.right_jacobian(omega)
-    neg = G.TangentVector(omega.tag, -omega.components)
-    f = G.adjoint(G.exp(neg)) + jr @ f_input
-    mean = G.compose(x, G.exp(omega))
-    cov = _sym(f @ belief.covariance @ f.T + jr @ q @ jr.T)
-    return BeliefState(mean, cov)
-
-
-def dlgekf_update(belief, model: GroupMeasurementModel, z,
-                  joseph=False, gate=None) -> BeliefState:
-    """Right-error update against a group-valued measurement."""
-    x = belief.mean
-    predicted = model.h(x)
-    try:
-        innovation = G.logvee(G.compose(G.inverse(predicted), z))
-    except G.AmbiguousLogarithmError as e:
-        raise MeasurementRejected("measurement log is ambiguous") from e
-    h = np.asarray(model.jacobian(x), dtype=float)
-    n = model.noise(x) if callable(model.noise) else model.noise
-    k, m = _gain_and_offset(belief.covariance, h, n, innovation, gate)
-    step = G.TangentVector(x.tag, m)
-    mean = G.compose(x, G.exp(step))
-    jr = G.right_jacobian(step)
-    cov = _sym(jr @ _posterior_cov(belief.covariance, k, h, n, joseph) @ jr.T)
-    return BeliefState(mean, cov)
-
-
-def dlgekf_rie_predict(belief, model: MotionModel, u, dt) -> BeliefState:
-    """Left-error prediction; the motion Jacobian is given in left terms."""
-    x = belief.mean
-    omega = model.motion(x, u, dt)
-    f_input = np.asarray(model.jacobian(x, u, dt), dtype=float)
-    q = np.asarray(model.noise(x, u, dt), dtype=float)
-    lift = G.adjoint(x) @ G.left_jacobian(omega)
-    f = np.eye(x.tag.algebra_dim) + lift @ f_input
+    if side == "right":
+        lift = G.right_jacobian(omega)
+        neg = G.TangentVector(omega.tag, -omega.components)
+        f = G.adjoint(G.exp(neg)) + lift @ f_input
+    else:
+        lift = G.adjoint(x) @ G.left_jacobian(omega)
+        f = np.eye(x.tag.algebra_dim) + lift @ f_input
     mean = G.compose(x, G.exp(omega))
     cov = _sym(f @ belief.covariance @ f.T + lift @ q @ lift.T)
     return BeliefState(mean, cov)
 
 
-def dlgekf_rie_update(belief, model: GroupMeasurementModel, z,
-                      joseph=False, gate=None) -> BeliefState:
-    """Left-error update against a group-valued measurement."""
+def dlgekf_update(belief, model: GroupMeasurementModel, z, side="right",
+                  joseph=False, gate=None) -> BeliefState:
+    """Update against a group-valued measurement. side is the error side,
+    as in dlgekf_predict (invekf_update's side is the observation side)."""
+    if side not in ("right", "left"):
+        raise G.InvalidArgumentError("side must be 'right' or 'left'")
     x = belief.mean
     predicted = model.h(x)
     try:
@@ -148,10 +128,20 @@ def dlgekf_rie_update(belief, model: GroupMeasurementModel, z,
     n = model.noise(x) if callable(model.noise) else model.noise
     k, m = _gain_and_offset(belief.covariance, h, n, innovation, gate)
     step = G.TangentVector(x.tag, m)
-    mean = G.compose(G.exp(step), x)
-    jl = G.left_jacobian(step)
-    cov = _sym(jl @ _posterior_cov(belief.covariance, k, h, n, joseph) @ jl.T)
+    if side == "right":
+        mean = G.compose(x, G.exp(step))
+        jac = G.right_jacobian(step)
+    else:
+        mean = G.compose(G.exp(step), x)
+        jac = G.left_jacobian(step)
+    cov = _sym(jac @ _posterior_cov(belief.covariance, k, h, n, joseph) @ jac.T)
     return BeliefState(mean, cov)
+
+
+# bench/tracing.py looks these names up to count calls; nothing in the
+# package calls them
+dlgekf_rie_predict = functools.partial(dlgekf_predict, side="left")
+dlgekf_rie_update = functools.partial(dlgekf_update, side="left")
 
 
 def invekf_propagate(belief, flow, a_matrix, q_hat, dt) -> BeliefState:

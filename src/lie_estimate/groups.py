@@ -1,11 +1,11 @@
 """Matrix Lie group kernel.
 
-Supported groups: SO(3), SE(3), SE_k(3) for k >= 1, T(n), and composite
-(direct-product) groups stored block-diagonally. Tangent vectors use a
-linear-first, angular-second serialization: SE(3) is (rho, phi), SE_2(3) is
-(rho, phi, psi), and SE_k(3) generalizes to (u1, phi, u2, ..., uk) where u1
-is the first translation column. Adjoint and Jacobian block layouts follow
-the same ordering.
+Supported groups: SO(3), SE_k(3) for k >= 1 (SE(3) is SE_1(3)), T(n),
+and composite (direct-product) groups stored block-diagonally. Tangent
+vectors use a linear-first, angular-second serialization: SE(3) is
+(rho, phi), SE_2(3) is (rho, phi, psi), and SE_k(3) generalizes to
+(u1, phi, u2, ..., uk) where u1 is the first translation column. Adjoint
+and Jacobian block layouts follow the same ordering.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call concurrently.
@@ -58,9 +58,11 @@ class GimbalLockError(LieGroupError):
 class GroupTag:
     """Identifies a group family and its shape.
 
-    family is one of "SO3", "SE3", "SEk3", "Tn", "Composite".
+    family is one of "SO3", "SEk3", "Tn", "Composite".
     k is the number of translation columns for SEk3, n the dimension for Tn,
-    parts the tuple of member tags for Composite.
+    parts the tuple of member tags for Composite. SE(3) is SE_1(3): the
+    tag SE3 is SEk3(1), so an SE(3) element composes with a one-column
+    sek3_element.
     """
 
     family: str
@@ -69,7 +71,7 @@ class GroupTag:
     parts: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.family not in ("SO3", "SE3", "SEk3", "Tn", "Composite"):
+        if self.family not in ("SO3", "SEk3", "Tn", "Composite"):
             raise InvalidArgumentError(f"unknown group family {self.family!r}")
         if self.family == "SEk3" and self.k < 1:
             raise InvalidArgumentError("SEk3 requires k >= 1")
@@ -82,8 +84,6 @@ class GroupTag:
     def algebra_dim(self) -> int:
         if self.family == "SO3":
             return 3
-        if self.family == "SE3":
-            return 6
         if self.family == "SEk3":
             return 3 + 3 * self.k
         if self.family == "Tn":
@@ -94,8 +94,6 @@ class GroupTag:
     def matrix_dim(self) -> int:
         if self.family == "SO3":
             return 3
-        if self.family == "SE3":
-            return 4
         if self.family == "SEk3":
             return 3 + self.k
         if self.family == "Tn":
@@ -104,7 +102,7 @@ class GroupTag:
 
 
 SO3 = GroupTag("SO3")
-SE3 = GroupTag("SE3")
+SE3 = GroupTag("SEk3", k=1)
 
 
 def SEk3(k: int) -> GroupTag:
@@ -172,10 +170,9 @@ def _check_element(tag: GroupTag, m: np.ndarray):
         raise InvalidArgumentError(f"matrix shape {m.shape} != ({d}, {d})")
     if tag.family == "SO3":
         _check_rotation(m)
-    elif tag.family in ("SE3", "SEk3"):
+    elif tag.family == "SEk3":
         _check_rotation(m[:3, :3])
-        k = 1 if tag.family == "SE3" else tag.k
-        if not np.array_equal(m[3:, :], _affine_bottom(k)):
+        if not np.array_equal(m[3:, :], _affine_bottom(tag.k)):
             raise InvalidArgumentError("bottom rows must be [0 | I] exactly")
     elif tag.family == "Tn":
         n = tag.n
@@ -354,12 +351,11 @@ def hat(v: TangentVector) -> np.ndarray:
     c = v.components
     if tag.family == "SO3":
         return skew(c)
-    if tag.family in ("SE3", "SEk3"):
-        k = 1 if tag.family == "SE3" else tag.k
-        phi, u = _split_sek3(c, k)
-        m = np.zeros((3 + k, 3 + k))
+    if tag.family == "SEk3":
+        phi, u = _split_sek3(c, tag.k)
+        m = np.zeros((3 + tag.k, 3 + tag.k))
         m[:3, :3] = skew(phi)
-        for i in range(k):
+        for i in range(tag.k):
             m[:3, 3 + i] = u[i]
         return m
     if tag.family == "Tn":
@@ -384,11 +380,10 @@ def vee(a: np.ndarray, tag: GroupTag) -> TangentVector:
     if tag.family == "SO3":
         _check_skew(a)
         return TangentVector(tag, np.array([a[2, 1], a[0, 2], a[1, 0]]))
-    if tag.family in ("SE3", "SEk3"):
-        k = 1 if tag.family == "SE3" else tag.k
+    if tag.family == "SEk3":
         _check_skew(a[:3, :3])
         phi = np.array([a[2, 1], a[0, 2], a[1, 0]])
-        u = [a[:3, 3 + i] for i in range(k)]
+        u = [a[:3, 3 + i] for i in range(tag.k)]
         return TangentVector(tag, _join_sek3(phi, u))
     if tag.family == "Tn":
         return TangentVector(tag, a[:tag.n, tag.n].copy())
@@ -411,14 +406,13 @@ def exp(v: TangentVector) -> GroupElement:
     c = v.components
     if tag.family == "SO3":
         return _trusted_element(tag, _so3_exp(c))
-    if tag.family in ("SE3", "SEk3"):
-        k = 1 if tag.family == "SE3" else tag.k
-        phi, u = _split_sek3(c, k)
+    if tag.family == "SEk3":
+        phi, u = _split_sek3(c, tag.k)
         r = _so3_exp(phi)
         j = _so3_left_jacobian(phi)
-        m = np.eye(3 + k)
+        m = np.eye(3 + tag.k)
         m[:3, :3] = r
-        for i in range(k):
+        for i in range(tag.k):
             m[:3, 3 + i] = j @ u[i]
         return _trusted_element(tag, m)
     if tag.family == "Tn":
@@ -435,11 +429,10 @@ def log(x: GroupElement) -> TangentVector:
     m = x.matrix
     if tag.family == "SO3":
         return TangentVector(tag, _so3_log(m))
-    if tag.family in ("SE3", "SEk3"):
-        k = 1 if tag.family == "SE3" else tag.k
+    if tag.family == "SEk3":
         phi = _so3_log(m[:3, :3])
         jinv = np.linalg.inv(_so3_left_jacobian(phi))
-        u = [jinv @ m[:3, 3 + i] for i in range(k)]
+        u = [jinv @ m[:3, 3 + i] for i in range(tag.k)]
         return TangentVector(tag, _join_sek3(phi, u))
     if tag.family == "Tn":
         return TangentVector(tag, m[:tag.n, tag.n].copy())
@@ -453,13 +446,12 @@ def adjoint(x: GroupElement) -> np.ndarray:
     m = x.matrix
     if tag.family == "SO3":
         return m.copy()
-    if tag.family in ("SE3", "SEk3"):
-        k = 1 if tag.family == "SE3" else tag.k
+    if tag.family == "SEk3":
         r = m[:3, :3]
         p = tag.algebra_dim
         adj = np.zeros((p, p))
         # Slot layout: u1 at 0:3, phi at 3:6, u_i at 3+3i:6+3i for i >= 1.
-        slots = [slice(0, 3)] + [slice(3 + 3 * i, 6 + 3 * i) for i in range(1, k)]
+        slots = [slice(0, 3)] + [slice(3 + 3 * i, 6 + 3 * i) for i in range(1, tag.k)]
         phi_sl = slice(3, 6)
         adj[phi_sl, phi_sl] = r
         for i, sl in enumerate(slots):
@@ -478,13 +470,12 @@ def left_jacobian(v: TangentVector) -> np.ndarray:
     c = v.components
     if tag.family == "SO3":
         return _so3_left_jacobian(c)
-    if tag.family in ("SE3", "SEk3"):
-        k = 1 if tag.family == "SE3" else tag.k
-        phi, u = _split_sek3(c, k)
+    if tag.family == "SEk3":
+        phi, u = _split_sek3(c, tag.k)
         j3 = _so3_left_jacobian(phi)
         p = tag.algebra_dim
         jac = np.zeros((p, p))
-        slots = [slice(0, 3)] + [slice(3 + 3 * i, 6 + 3 * i) for i in range(1, k)]
+        slots = [slice(0, 3)] + [slice(3 + 3 * i, 6 + 3 * i) for i in range(1, tag.k)]
         phi_sl = slice(3, 6)
         jac[phi_sl, phi_sl] = j3
         for i, sl in enumerate(slots):
@@ -534,10 +525,9 @@ def inverse(x: GroupElement) -> GroupElement:
     m = x.matrix
     if tag.family == "SO3":
         return _trusted_element(tag, m.T.copy())
-    if tag.family in ("SE3", "SEk3"):
-        k = 1 if tag.family == "SE3" else tag.k
+    if tag.family == "SEk3":
         r = m[:3, :3]
-        out = np.eye(3 + k)
+        out = np.eye(3 + tag.k)
         out[:3, :3] = r.T
         out[:3, 3:] = -r.T @ m[:3, 3:]
         return _trusted_element(tag, out)

@@ -151,8 +151,9 @@ def test_translation_group_filtering_matches_a_textbook_ekf(engine):
             belief = FC.dlgekf_predict(belief, motion, u, dt)
             belief = FC.dlgekf_update(belief, meas, G.tn_element(y))
         elif engine == "dlgekf_rie":
-            belief = FC.dlgekf_rie_predict(belief, motion, u, dt)
-            belief = FC.dlgekf_rie_update(belief, meas, G.tn_element(y))
+            belief = FC.dlgekf_predict(belief, motion, u, dt, side="left")
+            belief = FC.dlgekf_update(belief, meas, G.tn_element(y),
+                                      side="left")
         else:
             def flow(X, u=u):
                 vec = G.tn_vector(X)
@@ -288,16 +289,16 @@ def _fd_raw_update_h(state, rec, h=1e-6):
 def _capture_group_update(fn, state, *args, **kwargs):
     """Record the measurement model a group-observation update builds."""
     rec = {}
-    orig = FC.dlgekf_rie_update
+    orig = FC.dlgekf_update
     def spy(belief, model, z, **kw):
         rec.update(pred=model.h(belief.mean),
                    h=np.array(model.jacobian(belief.mean), float), z=z)
         return orig(belief, model, z, **kw)
-    FC.dlgekf_rie_update = spy
+    FC.dlgekf_update = spy
     try:
         fn(state, *args, **kwargs)
     finally:
-        FC.dlgekf_rie_update = orig
+        FC.dlgekf_update = orig
     return rec
 
 

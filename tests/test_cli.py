@@ -351,6 +351,45 @@ def test_corrupt_log_exits_3(tmp_path):
     assert code == 3
 
 
+def _middle(records, kind):
+    of_kind = [r for r in records if r["kind"] == kind]
+    return of_kind[len(of_kind) // 2]
+
+
+MALFORMED = {
+    "imu-without-accel": lambda recs: _middle(recs, "imu").pop("accel"),
+    "short-positions": lambda recs: _middle(recs, "encoder").update(
+        positions=[0.0] * 3, velocities=[0.0] * 3),
+    "nan-accel": lambda recs: _middle(recs, "imu").update(
+        accel=[float("nan"), 0.0, 9.8]),
+    "short-velocities": lambda recs: _middle(recs, "encoder").update(
+        velocities=[0.0]),
+    "contact-without-right": lambda recs: _middle(recs, "contact").pop(
+        "right"),
+    "string-t": lambda recs: _middle(recs, "imu").update(t="soon"),
+    "nan-t": lambda recs: _middle(recs, "contact").update(t=float("nan")),
+    "not-an-object": lambda recs: recs.insert(1, [0.5, "imu"]),
+    "no-encoders": lambda recs: [r.update(kind="wrench") for r in recs
+                                 if r["kind"] == "encoder"],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_log_exits_3(short_walk, tmp_path, capsys, case):
+    log, _ = short_walk
+    with open(log) as fh:
+        records = [json.loads(line) for line in fh]
+    MALFORMED[case](records)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = run_cli("run", str(bad), "--estimator", "diligent-kio",
+                   "--out", str(tmp_path / "e.csv"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_backwards_time_exits_3(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(

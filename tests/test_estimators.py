@@ -152,12 +152,14 @@ def test_standing_is_a_fixed_point_of_all_variants():
     runs = {
         "plain": lambda st: E.diligent_update(
             E.diligent_predict(st, imu, contacts, noise), meas),
-        "rie": lambda st: E.diligent_rie_update(
-            E.diligent_rie_predict(st, imu, contacts, noise), meas),
+        "rie": lambda st: E.diligent_update(
+            E.diligent_predict(st, imu, contacts, noise, side="left"), meas,
+            side="left"),
         "cod": lambda st: E.diligent_update(
             E.codiligent_predict(st, imu, contacts, noise, "lie"), meas),
-        "cod_rie": lambda st: E.diligent_rie_update(
-            E.codiligent_predict(st, imu, contacts, noise, "rie"), meas),
+        "cod_rie": lambda st: E.diligent_update(
+            E.codiligent_predict(st, imu, contacts, noise, "rie"), meas,
+            side="left"),
     }
     for name, step in runs.items():
         st = state0

@@ -146,7 +146,8 @@ def test_rie_zero_motion_identity(rng):
     x = random_element(G.SE3, rng)
     p = spd(6, rng, 0.01)
     model = constant_motion(G.SE3, np.zeros(6), np.zeros((6, 6)), np.zeros((6, 6)))
-    out = FC.dlgekf_rie_predict(FC.BeliefState(x, p), model, None, 0.01)
+    out = FC.dlgekf_predict(FC.BeliefState(x, p), model, None, 0.01,
+                            side="left")
     assert np.abs(out.mean.matrix - x.matrix).max() < 1e-12
     assert np.abs(out.covariance - p).max() < 1e-12
 
@@ -159,7 +160,7 @@ def test_rie_euclidean_reduction_matches_left(rng):
                             0.2 * rng.standard_normal((4, 4)), spd(4, rng, 0.1))
     belief = FC.BeliefState(G.tn_element(x0), p0)
     a = FC.dlgekf_predict(belief, model, None, 1.0)
-    b = FC.dlgekf_rie_predict(belief, model, None, 1.0)
+    b = FC.dlgekf_predict(belief, model, None, 1.0, side="left")
     assert np.abs(a.mean.matrix - b.mean.matrix).max() < 1e-12
     assert np.abs(a.covariance - b.covariance).max() < 1e-12
 
@@ -173,7 +174,7 @@ def test_rie_relates_to_left_by_transport(rng):
     model = constant_motion(G.SO3, omega, np.zeros((3, 3)), q)
     belief = FC.BeliefState(G.identity(G.SO3), p0)
     left = FC.dlgekf_predict(belief, model, None, 1.0)
-    right = FC.dlgekf_rie_predict(belief, model, None, 1.0)
+    right = FC.dlgekf_predict(belief, model, None, 1.0, side="left")
     assert np.abs(left.mean.matrix - right.mean.matrix).max() < 1e-12
     moved = U.transport_covariance(right.covariance, left.mean,
                                    U.TransportDirection.LEFT_TO_RIGHT)
@@ -188,9 +189,22 @@ def test_rie_update_mirrors_left_on_euclidean(rng):
     belief = FC.BeliefState(G.tn_element(x0), p0)
     model = full_state_measurement(n)
     a = FC.dlgekf_update(belief, model, z)
-    b = FC.dlgekf_rie_update(belief, model, z)
+    b = FC.dlgekf_update(belief, model, z, side="left")
     assert np.abs(a.mean.matrix - b.mean.matrix).max() < 1e-12
     assert np.abs(a.covariance - b.covariance).max() < 1e-12
+
+
+@pytest.mark.parametrize("step", ["predict", "update"])
+def test_unknown_error_side_is_rejected(step):
+    belief = FC.BeliefState(G.identity(G.SO3), 0.01 * np.eye(3))
+    with pytest.raises(G.InvalidArgumentError):
+        if step == "predict":
+            model = constant_motion(G.SO3, np.zeros(3), np.zeros((3, 3)),
+                                    np.zeros((3, 3)))
+            FC.dlgekf_predict(belief, model, None, 0.01, side="middle")
+        else:
+            FC.dlgekf_update(belief, full_state_measurement(np.eye(3)),
+                             G.identity(G.SO3), side="middle")
 
 
 # --- invariant engine ----------------------------------------------------------------

@@ -271,6 +271,22 @@ def test_se3_tuple_composition(rng):
     np.testing.assert_allclose(G.se3_rotation(out), r1 @ r2, atol=1e-12)
 
 
+def test_se3_is_se13():
+    assert G.SE3 == G.SEk3(1)
+    assert G.SE3.algebra_dim == 6 and G.SE3.matrix_dim == 4
+
+
+def test_se3_composes_with_a_one_column_sek3_element(rng):
+    r1 = random_element(G.SO3, rng).matrix
+    r2 = random_element(G.SO3, rng).matrix
+    p1 = rng.normal(size=3)
+    p2 = rng.normal(size=3)
+    out = G.compose(G.se3_element(r1, p1), G.sek3_element(r2, [p2]))
+    assert out.tag == G.SE3
+    np.testing.assert_allclose(G.se3_translation(out), r1 @ p2 + p1, atol=1e-12)
+    np.testing.assert_allclose(G.se3_rotation(out), r1 @ r2, atol=1e-12)
+
+
 def test_compose_tag_mismatch(rng):
     with pytest.raises(G.InvalidArgumentError):
         G.compose(random_element(G.SO3, rng), random_element(G.SE3, rng))
