@@ -242,7 +242,9 @@ def run_estimator(name, records, chain, noise, seed=0,
     for rec in records:
         by_time.setdefault(rec["t"], []).append(rec)
     times = sorted(by_time)
-    first_enc = next(r for r in records if r["kind"] == "encoder")
+    first_enc = next((r for r in records if r["kind"] == "encoder"), None)
+    if first_enc is None:
+        raise G.InvalidArgumentError("log has no encoder record")
     q0 = np.asarray(first_enc["positions"], float)
     base0, feet0 = _initial_geometry(chain, q0)
     if init_rot_deg or init_vel:

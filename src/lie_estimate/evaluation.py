@@ -70,10 +70,14 @@ def ate(truth, estimate, side="left"):
     _check_lengths(truth, estimate)
     if side not in ("left", "right"):
         raise G.InvalidArgumentError("side must be 'left' or 'right'")
+    # One check of every input rotation; each product below is then a
+    # rotation too and its log needs no check of its own.
+    G._check_rotations(np.array([s.rotation for s in
+                                 itertools.chain(truth, estimate)]))
     sq_rot = sq_pos = sq_vel = 0.0
     for a, b in zip(truth, estimate):
         r, r_hat = a.rotation, b.rotation
-        rot_err = G.logvee(G.so3_element(r_hat.T @ r))
+        rot_err = G.logvee(G._trusted_element(G.SO3, r_hat.T @ r))
         if side == "left":
             pos_err = r_hat.T @ (a.position - b.position)
             vel_err = r_hat.T @ (a.velocity - b.velocity)

@@ -100,14 +100,14 @@ def dlgekf_predict(belief, model: MotionModel, u, dt,
     omega = model.motion(x, u, dt)
     f_input = np.asarray(model.jacobian(x, u, dt), dtype=float)
     q = np.asarray(model.noise(x, u, dt), dtype=float)
+    step = G.exp(omega)
     if side == "right":
         lift = G.right_jacobian(omega)
-        neg = G.TangentVector(omega.tag, -omega.components)
-        f = G.adjoint(G.exp(neg)) + lift @ f_input
+        f = G.adjoint(G.inverse(step)) + lift @ f_input
     else:
         lift = G.adjoint(x) @ G.left_jacobian(omega)
         f = np.eye(x.tag.algebra_dim) + lift @ f_input
-    mean = G.compose(x, G.exp(omega))
+    mean = G.compose(x, step)
     cov = _sym(f @ belief.covariance @ f.T + lift @ q @ lift.T)
     return BeliefState(mean, cov)
 

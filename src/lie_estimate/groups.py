@@ -7,6 +7,14 @@ vectors use a linear-first, angular-second serialization: SE(3) is
 (u1, phi, u2, ..., uk) where u1 is the first translation column. Adjoint
 and Jacobian block layouts follow the same ordering.
 
+Each tag compiles once, on first use, into a layout cached on the tag:
+flat indices of every rotation block, translation column and T(n) entry.
+A leaf is a one-part layout and a composite lists the blocks of all its
+leaves, so every operator treats all blocks of an element in one batched
+pass: one stack of 3x3 skew matrices, per-block scalar coefficients,
+batched products and one scatter into the result. SEk3, Tn and composite
+intern their tags, so each group's layout is compiled once.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call concurrently.
 """
@@ -100,21 +108,104 @@ class GroupTag:
             return self.n + 1
         return sum(p.matrix_dim for p in self.parts)
 
+    @functools.cached_property
+    def _layout(self) -> "_Layout":
+        return _Layout(self)
+
 
 SO3 = GroupTag("SO3")
-SE3 = GroupTag("SEk3", k=1)
 
 
+@functools.lru_cache(maxsize=None)
 def SEk3(k: int) -> GroupTag:
     return GroupTag("SEk3", k=k)
 
 
+SE3 = SEk3(1)
+
+
+@functools.lru_cache(maxsize=None)
 def Tn(n: int) -> GroupTag:
     return GroupTag("Tn", n=n)
 
 
+@functools.lru_cache(maxsize=None)
 def composite(*parts: GroupTag) -> GroupTag:
-    return GroupTag("Composite", parts=tuple(parts))
+    """Direct product of the parts; equal parts give the same tag."""
+    return GroupTag("Composite", parts=parts)
+
+
+class _Layout:
+    """Flat indices of the blocks of one group, compiled from its tag.
+
+    Indices address the flattened d x d element, the p-vector, or the
+    flattened p x p adjoint or Jacobian. With nb rotation blocks, nc
+    translation columns and nt T(n) entries, in part order:
+      rot, phi            each rotation block (nb, 3, 3) and its vector;
+      rot_t, diag         the block transposed, and its diagonal;
+      vee_pos, vee_neg    its entries (2,1), (0,2), (1,0) and transposes;
+      col, u, col_block   each column (nc, 3), its vector and its block;
+      tn, tn_t            the T(n) entries and their vector;
+      slots, slot_block   the operators' 3x3 diagonal blocks (phi slots,
+                          then u slots) and the rotation block of each;
+      off, tn_op          each column's (u, phi) block, and the T(n)
+                          diagonal, in the operators;
+      eye, fixed          the identity, and the entries every element
+                          shares with it (values in fixed_values).
+    """
+
+    def __init__(self, tag: GroupTag):
+        rot, phi, col, col_block, u, tn, tn_t = [], [], [], [], [], [], []
+
+        def walk(t, m, v):
+            if t.family == "Composite":
+                for part in t.parts:
+                    walk(part, m, v)
+                    m, v = m + part.matrix_dim, v + part.algebra_dim
+            elif t.family == "Tn":
+                tn.extend((m + j, m + t.n) for j in range(t.n))
+                tn_t.extend(range(v, v + t.n))
+            else:
+                # SO(3) is (phi); SE_k(3) is (u1, phi, u2, ..., uk)
+                for i in range(t.k):
+                    col.append((m, m + 3 + i))
+                    col_block.append(len(rot))
+                    u.append(v + 3 + 3 * i if i else v)
+                rot.append(m)
+                phi.append(v + 3 if t.k else v)
+
+        walk(tag, 0, 0)
+        d, p = tag.matrix_dim, tag.algebra_dim
+        r3 = np.arange(3)
+        rot = np.array(rot, dtype=int).reshape(-1, 1, 1)
+        col = np.array(col, dtype=int).reshape(-1, 2)
+        tn = np.array(tn, dtype=int).reshape(-1, 2)
+        self.d, self.p = d, p
+        self.rot = (rot + r3[:, None]) * d + rot + r3
+        self.rot_t = self.rot.transpose(0, 2, 1).copy()
+        self.diag = self.rot[:, r3, r3]
+        self.vee_pos = self.rot[:, (2, 0, 1), (1, 2, 0)]
+        self.vee_neg = self.rot[:, (1, 2, 0), (2, 0, 1)]
+        self.phi = np.array(phi, dtype=int).reshape(-1, 1) + r3
+        self.col = (col[:, :1] + r3) * d + col[:, 1:]
+        self.col_block = np.array(col_block, dtype=int)
+        self.u = np.array(u, dtype=int).reshape(-1, 1) + r3
+        self.tn = tn[:, 0] * d + tn[:, 1]
+        self.tn_t = np.array(tn_t, dtype=int)
+        self.nb, self.nc, self.nt = len(self.phi), len(self.u), len(self.tn_t)
+        slots = np.concatenate([self.phi, self.u])
+        self.slots = slots[:, :, None] * p + slots[:, None, :]
+        self.slot_block = np.concatenate([np.arange(self.nb), self.col_block])
+        self.off = (self.u[:, :, None] * p
+                    + self.phi[self.col_block][:, None, :])
+        self.tn_op = self.tn_t * (p + 1)
+        free = np.zeros(d * d, dtype=bool)
+        for idx in (self.rot, self.col, self.tn):
+            free[idx] = True
+        self.eye = np.eye(d)
+        self.eye.setflags(write=False)
+        self.fixed = np.flatnonzero(~free)
+        self.fixed_values = self.eye.take(self.fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -150,69 +241,38 @@ class TangentVector:
             )
 
 
-@functools.lru_cache(maxsize=None)
-def _affine_bottom(k: int) -> np.ndarray:
-    out = np.hstack([np.zeros((k, 3)), np.eye(k)])
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _eye(n: int) -> np.ndarray:
-    out = np.eye(n)
-    out.setflags(write=False)
-    return out
-
-
 def _check_element(tag: GroupTag, m: np.ndarray):
-    d = tag.matrix_dim
-    if m.shape != (d, d):
-        raise InvalidArgumentError(f"matrix shape {m.shape} != ({d}, {d})")
-    if tag.family == "SO3":
-        _check_rotation(m)
-    elif tag.family == "SEk3":
-        _check_rotation(m[:3, :3])
-        if not np.array_equal(m[3:, :], _affine_bottom(tag.k)):
-            raise InvalidArgumentError("bottom rows must be [0 | I] exactly")
-    elif tag.family == "Tn":
-        n = tag.n
-        if not np.array_equal(m[:n, :n], _eye(n)):
-            raise InvalidArgumentError("T(n) top-left block must be identity")
-        if not np.array_equal(m[n, :], _eye(n + 1)[n]):
-            raise InvalidArgumentError("T(n) bottom row must be [0 ... 0 1]")
-    else:
-        for part, sub in zip(tag.parts, _diag_blocks(tag, m)):
-            _check_element(part, sub)
+    lay = tag._layout
+    if m.shape != (lay.d, lay.d):
+        raise InvalidArgumentError(
+            f"matrix shape {m.shape} != ({lay.d}, {lay.d})")
+    if lay.nb:
+        _check_rotations(m.take(lay.rot))
+    if (m.take(lay.fixed) != lay.fixed_values).any():
+        raise InvalidArgumentError(
+            "entries outside the rotation, translation and T(n) blocks must "
+            "be those of the identity exactly")
 
 
-def _check_rotation(r: np.ndarray):
-    if np.abs(r.T @ r - _eye(3)).max() > _ORTHO_TOL:
+def _check_rotations(r: np.ndarray):
+    """Raise unless every matrix of the (n, 3, 3) stack r, n >= 1, is a
+    rotation; NaN entries fail too."""
+    if not np.abs(r.transpose(0, 2, 1) @ r - _EYE3).max() <= _ORTHO_TOL:
         raise InvalidArgumentError("rotation block is not orthonormal")
-    # determinant by cofactor expansion; +1 for a proper rotation
-    (a, b, c), (d, e, f), (g, h, i) = r
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det - 1.0) > _ORTHO_TOL:
+    if not np.abs(np.linalg.det(r) - 1.0).max() <= _ORTHO_TOL:
         raise InvalidArgumentError("rotation block determinant is not +1")
 
 
-def _diag_blocks(tag: GroupTag, m: np.ndarray):
-    i = 0
-    for part in tag.parts:
-        d = part.matrix_dim
-        yield m[i:i + d, i:i + d]
-        i += d
-
-
-def _tangent_slices(tag: GroupTag):
-    i = 0
-    for part in tag.parts:
-        p = part.algebra_dim
-        yield part, slice(i, i + p)
-        i += p
-
-
 # ---------------------------------------------------------------------------
-# Scalar helper series
+# Skew matrices and per-block scalar coefficients
+
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+# Row i is skew(e_i) flattened, so v @ _SKEW holds skew(v[j]) in row j.
+_SKEW = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                  [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+_SKEW.setflags(write=False)
 
 
 def skew(v) -> np.ndarray:
@@ -221,76 +281,55 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _norm(v) -> float:
-    # np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); without its dispatch
-    v = np.asarray(v, dtype=float)
-    return math.sqrt(v.dot(v))
+def _skews(v: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) stack of skew(v[j]) for an (n, 3) array v."""
+    return (v @ _SKEW).reshape(-1, 3, 3)
 
 
-def _sinc(theta: float) -> float:
-    # sin(theta)/theta
+def _angles(phi: np.ndarray) -> list:
+    # |phi| of each row, with the squares summed as v.dot(v) sums them
+    return np.sqrt(phi[:, None, :] @ phi[:, :, None]).ravel().tolist()
+
+
+def _coefficients(fn, thetas) -> np.ndarray:
+    """fn(theta) for each block as a (terms, blocks, 1, 1) array, so that
+    each term scales its block's 3x3 matrices."""
+    return np.array([fn(t) for t in thetas]).T[:, :, None, None]
+
+
+def _exp_coefficients(theta: float):
+    """(a, c, b, e) with exp(S) = I + a S + b S^2 and the SO(3) left
+    Jacobian J = I + c S + e S^2, for S = skew(phi) and theta = |phi|."""
+    t2 = theta * theta
     if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    return math.sin(theta) / theta
+        return (1.0 - t2 / 6.0 + t2 * t2 / 120.0, 0.5,
+                0.5 - t2 / 24.0 + t2 * t2 / 720.0, 1.0 / 6.0)
+    s = math.sin(theta)
+    b = (1.0 - math.cos(theta)) / t2
+    return s / theta, b, b, (theta - s) / (t2 * theta)
 
 
-def _cosc(theta: float) -> float:
-    # (1 - cos(theta)) / theta^2
+def _q_coefficients(theta: float):
+    """(a, b, c, e) with Q = U/2 + a (PU + UP) + b PUP + c (PPU + UPP)
+    + e (PUP + PPU) P, the (u, phi) block of the SE_k(3) left Jacobian for
+    P = skew(phi) and U = skew(u)."""
     if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        return 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    return (1.0 - math.cos(theta)) / (theta * theta)
+        # Leading terms of the series; O(theta^2) beyond the linear term.
+        return 1.0 / 6.0, 0.0, 0.0, 0.0
+    t2 = theta * theta
+    s, c = math.sin(theta), math.cos(theta)
+    c1 = (theta - s) / (t2 * theta)
+    c2 = (t2 + 2.0 * c - 2.0) / (2.0 * t2 * t2)
+    c3 = (2.0 * theta - 3.0 * s + theta * c) / (2.0 * t2 * t2 * theta)
+    return c1, c1 - 3.0 * c2, c2, c3
 
 
-def _so3_exp(phi: np.ndarray) -> np.ndarray:
-    theta = _norm(phi)
-    s = skew(phi)
-    return _eye(3) + _sinc(theta) * s + _cosc(theta) * (s @ s)
-
-
-def _so3_log(r: np.ndarray) -> np.ndarray:
-    c = (np.trace(r) - 1.0) / 2.0
-    c = min(1.0, max(-1.0, c))
-    theta = math.acos(c)
-    if math.pi - theta < 1e-9:
-        # Axis from the symmetric part: R ~ 2 a a^T - I at theta = pi.
-        w, vecs = np.linalg.eigh((r + np.eye(3)) / 2.0)
-        axis = vecs[:, np.argmax(w)]
-        axis = axis / np.linalg.norm(axis)
-        raise AmbiguousLogarithmError(
-            "rotation angle is at pi; axis sign is ambiguous",
-            candidates=(math.pi * axis, -math.pi * axis),
-        )
+def _jacobian_inv_coefficient(theta: float):
+    """e with J^-1 = I - S/2 + e S^2 for the SO(3) left Jacobian."""
     if theta < _SMALL_ANGLE:
-        # theta/(2 sin theta) ~ 1/2 + theta^2/12 + ...
-        factor = 0.5 + theta * theta / 12.0
-    else:
-        factor = theta / (2.0 * math.sin(theta))
-    a = factor * (r - r.T)
-    return np.array([a[2, 1], a[0, 2], a[1, 0]])
-
-
-def _so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
-    theta = _norm(phi)
-    s = skew(phi)
-    if theta < _SMALL_ANGLE:
-        return _eye(3) + 0.5 * s + (s @ s) / 6.0
-    a = np.asarray(phi, dtype=float) / theta
-    sa = _sinc(theta)
-    return sa * _eye(3) + (1.0 - sa) * np.outer(a, a) + _cosc(theta) * theta * skew(a)
-
-
-def _so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    theta = _norm(phi)
-    _check_jacobian_angle(theta)
-    s = skew(phi)
-    if theta < _SMALL_ANGLE:
-        return _eye(3) - 0.5 * s + (s @ s) / 12.0
-    a = np.asarray(phi, dtype=float) / theta
+        return (1.0 / 12.0,)
     half = theta / 2.0
-    cot = half / math.tan(half)
-    return cot * _eye(3) + (1.0 - cot) * np.outer(a, a) - half * skew(a)
+    return ((1.0 - half / math.tan(half)) / (theta * theta),)
 
 
 def _check_jacobian_angle(theta: float):
@@ -301,45 +340,52 @@ def _check_jacobian_angle(theta: float):
         )
 
 
-def _se3_q_matrix(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Q block of the SE(3)-style left Jacobian for translation slot u."""
-    theta = _norm(phi)
-    su = skew(u)
-    sp = skew(phi)
-    if theta < _SMALL_ANGLE:
-        # Leading terms of the series; O(theta^2) beyond the linear term.
-        return 0.5 * su + (sp @ su + su @ sp) / 6.0
-    t2 = theta * theta
-    c1 = (theta - math.sin(theta)) / (t2 * theta)
-    c2 = (t2 + 2.0 * math.cos(theta) - 2.0) / (2.0 * t2 * t2)
-    c3 = (2.0 * theta - 3.0 * math.sin(theta) + theta * math.cos(theta)) / (
-        2.0 * t2 * t2 * theta
-    )
-    return (
-        0.5 * su
-        + c1 * (sp @ su + su @ sp + sp @ su @ sp)
-        + c2 * (sp @ sp @ su + su @ sp @ sp - 3.0 * sp @ su @ sp)
-        + c3 * (sp @ su @ sp @ sp + sp @ sp @ su @ sp)
-    )
+def _rotation_logs(m: np.ndarray, lay: _Layout):
+    """Rotation vectors of the rotation blocks of m, and their angles."""
+    thetas, factors = [], []
+    for b, trace in enumerate(m.take(lay.diag).sum(axis=1).tolist()):
+        theta = math.acos(min(1.0, max(-1.0, (trace - 1.0) / 2.0)))
+        if math.pi - theta < 1e-9:
+            # Axis from the symmetric part: R ~ 2 a a^T - I at theta = pi.
+            w, vecs = np.linalg.eigh((m.take(lay.rot[b]) + _EYE3) / 2.0)
+            axis = vecs[:, np.argmax(w)]
+            axis = axis / np.linalg.norm(axis)
+            raise AmbiguousLogarithmError(
+                "rotation angle is at pi; axis sign is ambiguous",
+                candidates=(math.pi * axis, -math.pi * axis),
+            )
+        # theta/(2 sin theta) ~ 1/2 + theta^2/12 + ... below _SMALL_ANGLE
+        factors.append(0.5 + theta * theta / 12.0 if theta < _SMALL_ANGLE
+                       else theta / (2.0 * math.sin(theta)))
+        thetas.append(theta)
+    a = m.take(lay.vee_pos) - m.take(lay.vee_neg)
+    return np.array(factors)[:, None] * a, thetas
 
 
-# ---------------------------------------------------------------------------
-# Serialization helpers for SEk3 (k translation slots, phi after the first)
+def _q_blocks(lay: _Layout, c, s, s2, thetas) -> np.ndarray:
+    """Q(u, phi) of every translation column, from the skew stacks s and
+    s2 = s @ s of the rotation blocks."""
+    cb = lay.col_block
+    p, p2 = s.take(cb, axis=0), s2.take(cb, axis=0)
+    uu = _skews(c[lay.u])
+    a, b, d, e = _coefficients(_q_coefficients, thetas)[:, cb]
+    pu, up = p @ uu, uu @ p
+    pup, ppu = pu @ p, p2 @ uu
+    return (0.5 * uu + a * (pu + up) + b * pup + d * (ppu + up @ p)
+            + e * ((pup + ppu) @ p))
 
 
-def _split_sek3(v: np.ndarray, k: int):
-    """Return (phi, [u1, ..., uk]) from a (u1, phi, u2, ..., uk) vector."""
-    u = [v[0:3]]
-    phi = v[3:6]
-    for i in range(1, k):
-        u.append(v[3 + 3 * i:6 + 3 * i])
-    return phi, u
-
-
-def _join_sek3(phi: np.ndarray, u) -> np.ndarray:
-    out = [u[0], phi]
-    out.extend(u[1:])
-    return np.concatenate(out)
+def _assemble(lay: _Layout, diag, off) -> np.ndarray:
+    """The p x p operator with diag[b] on each slot of rotation block b,
+    off on each column's (u, phi) block and 1 on the T(n) diagonal."""
+    out = np.zeros((lay.p, lay.p))
+    if lay.nb:
+        out.put(lay.slots, diag.take(lay.slot_block, axis=0))
+    if lay.nc:
+        out.put(lay.off, off)
+    if lay.nt:
+        out.put(lay.tn_op, 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -347,171 +393,118 @@ def _join_sek3(phi: np.ndarray, u) -> np.ndarray:
 
 
 def hat(v: TangentVector) -> np.ndarray:
-    tag = v.tag
-    c = v.components
-    if tag.family == "SO3":
-        return skew(c)
-    if tag.family == "SEk3":
-        phi, u = _split_sek3(c, tag.k)
-        m = np.zeros((3 + tag.k, 3 + tag.k))
-        m[:3, :3] = skew(phi)
-        for i in range(tag.k):
-            m[:3, 3 + i] = u[i]
-        return m
-    if tag.family == "Tn":
-        n = tag.n
-        m = np.zeros((n + 1, n + 1))
-        m[:n, n] = c
-        return m
-    m = np.zeros((tag.matrix_dim, tag.matrix_dim))
-    i = 0
-    for part, sl in _tangent_slices(tag):
-        d = part.matrix_dim
-        m[i:i + d, i:i + d] = hat(TangentVector(part, c[sl]))
-        i += d
-    return m
+    lay, c = v.tag._layout, v.components
+    out = np.zeros((lay.d, lay.d))
+    out.put(lay.rot, _skews(c[lay.phi]))
+    out.put(lay.col, c[lay.u])
+    out.put(lay.tn, c[lay.tn_t])
+    return out
 
 
 def vee(a: np.ndarray, tag: GroupTag) -> TangentVector:
     a = np.asarray(a, dtype=float)
-    d = tag.matrix_dim
-    if a.shape != (d, d):
-        raise InvalidArgumentError(f"algebra matrix shape {a.shape} != ({d}, {d})")
-    if tag.family == "SO3":
-        _check_skew(a)
-        return TangentVector(tag, np.array([a[2, 1], a[0, 2], a[1, 0]]))
-    if tag.family == "SEk3":
-        _check_skew(a[:3, :3])
-        phi = np.array([a[2, 1], a[0, 2], a[1, 0]])
-        u = [a[:3, 3 + i] for i in range(tag.k)]
-        return TangentVector(tag, _join_sek3(phi, u))
-    if tag.family == "Tn":
-        return TangentVector(tag, a[:tag.n, tag.n].copy())
-    parts = []
-    i = 0
-    for part in tag.parts:
-        dd = part.matrix_dim
-        parts.append(vee(a[i:i + dd, i:i + dd], part).components)
-        i += dd
-    return TangentVector(tag, np.concatenate(parts))
-
-
-def _check_skew(a: np.ndarray):
-    if np.abs(a + a.T).max() > _ORTHO_TOL:
+    lay = tag._layout
+    if a.shape != (lay.d, lay.d):
+        raise InvalidArgumentError(
+            f"algebra matrix shape {a.shape} != ({lay.d}, {lay.d})")
+    if lay.nb and not (np.abs(a.take(lay.rot) + a.take(lay.rot_t)).max()
+                       <= _ORTHO_TOL):
         raise InvalidArgumentError("rotational block is not skew-symmetric")
+    out = np.empty(lay.p)
+    out.put(lay.phi, a.take(lay.vee_pos))
+    out.put(lay.u, a.take(lay.col))
+    out.put(lay.tn_t, a.take(lay.tn))
+    return TangentVector(tag, out)
 
 
 def exp(v: TangentVector) -> GroupElement:
-    tag = v.tag
-    c = v.components
-    if tag.family == "SO3":
-        return _trusted_element(tag, _so3_exp(c))
-    if tag.family == "SEk3":
-        phi, u = _split_sek3(c, tag.k)
-        r = _so3_exp(phi)
-        j = _so3_left_jacobian(phi)
-        m = np.eye(3 + tag.k)
-        m[:3, :3] = r
-        for i in range(tag.k):
-            m[:3, 3 + i] = j @ u[i]
-        return _trusted_element(tag, m)
-    if tag.family == "Tn":
-        n = tag.n
-        m = np.eye(n + 1)
-        m[:n, n] = c
-        return _trusted_element(tag, m)
-    blocks = [exp(TangentVector(p, c[sl])).matrix for p, sl in _tangent_slices(tag)]
-    return _trusted_element(tag, _blkdiag(blocks))
+    lay, c = v.tag._layout, v.components
+    out = lay.eye.copy()
+    if lay.nb:
+        phi = c[lay.phi]
+        s = _skews(phi)
+        k = _coefficients(_exp_coefficients, _angles(phi))
+        r, j = _EYE3 + k[:2] * s + k[2:] * (s @ s)
+        out.put(lay.rot, r)
+        if lay.nc:
+            j = j.take(lay.col_block, axis=0)
+            out.put(lay.col, j @ c[lay.u][:, :, None])
+    if lay.nt:
+        out.put(lay.tn, c[lay.tn_t])
+    return _trusted_element(v.tag, out)
 
 
 def log(x: GroupElement) -> TangentVector:
-    tag = x.tag
-    m = x.matrix
-    if tag.family == "SO3":
-        return TangentVector(tag, _so3_log(m))
-    if tag.family == "SEk3":
-        phi = _so3_log(m[:3, :3])
-        jinv = np.linalg.inv(_so3_left_jacobian(phi))
-        u = [jinv @ m[:3, 3 + i] for i in range(tag.k)]
-        return TangentVector(tag, _join_sek3(phi, u))
-    if tag.family == "Tn":
-        return TangentVector(tag, m[:tag.n, tag.n].copy())
-    parts = [log(_trusted_element(p, b)).components
-             for p, b in zip(tag.parts, _diag_blocks(tag, m))]
-    return TangentVector(tag, np.concatenate(parts))
+    lay, m = x.tag._layout, x.matrix
+    out = np.empty(lay.p)
+    if lay.nb:
+        phi, thetas = _rotation_logs(m, lay)
+        out.put(lay.phi, phi)
+        if lay.nc:
+            s = _skews(phi)
+            (e,) = _coefficients(_jacobian_inv_coefficient, thetas)
+            jinv = (_EYE3 - 0.5 * s + e * (s @ s)).take(lay.col_block, axis=0)
+            out.put(lay.u, jinv @ m.take(lay.col)[:, :, None])
+    if lay.nt:
+        out.put(lay.tn_t, m.take(lay.tn))
+    return TangentVector(x.tag, out)
 
 
 def adjoint(x: GroupElement) -> np.ndarray:
-    tag = x.tag
-    m = x.matrix
-    if tag.family == "SO3":
-        return m.copy()
-    if tag.family == "SEk3":
-        r = m[:3, :3]
-        p = tag.algebra_dim
-        adj = np.zeros((p, p))
-        # Slot layout: u1 at 0:3, phi at 3:6, u_i at 3+3i:6+3i for i >= 1.
-        slots = [slice(0, 3)] + [slice(3 + 3 * i, 6 + 3 * i) for i in range(1, tag.k)]
-        phi_sl = slice(3, 6)
-        adj[phi_sl, phi_sl] = r
-        for i, sl in enumerate(slots):
-            adj[sl, sl] = r
-            adj[sl, phi_sl] = skew(m[:3, 3 + i]) @ r
-        return adj
-    if tag.family == "Tn":
-        return np.eye(tag.n)
-    blocks = [adjoint(_trusted_element(p, b))
-              for p, b in zip(tag.parts, _diag_blocks(tag, m))]
-    return _blkdiag(blocks)
+    lay, m = x.tag._layout, x.matrix
+    r = m.take(lay.rot)
+    off = None
+    if lay.nc:
+        off = _skews(m.take(lay.col)) @ r.take(lay.col_block, axis=0)
+    return _assemble(lay, r, off)
 
 
 def left_jacobian(v: TangentVector) -> np.ndarray:
-    tag = v.tag
-    c = v.components
-    if tag.family == "SO3":
-        return _so3_left_jacobian(c)
-    if tag.family == "SEk3":
-        phi, u = _split_sek3(c, tag.k)
-        j3 = _so3_left_jacobian(phi)
-        p = tag.algebra_dim
-        jac = np.zeros((p, p))
-        slots = [slice(0, 3)] + [slice(3 + 3 * i, 6 + 3 * i) for i in range(1, tag.k)]
-        phi_sl = slice(3, 6)
-        jac[phi_sl, phi_sl] = j3
-        for i, sl in enumerate(slots):
-            jac[sl, sl] = j3
-            jac[sl, phi_sl] = _se3_q_matrix(u[i], phi)
-        return jac
-    if tag.family == "Tn":
-        return np.eye(tag.n)
-    blocks = [left_jacobian(TangentVector(p, c[sl]))
-              for p, sl in _tangent_slices(tag)]
-    return _blkdiag(blocks)
+    return _left_jacobian(v.tag._layout, v.components)
 
 
 def right_jacobian(v: TangentVector) -> np.ndarray:
-    return left_jacobian(TangentVector(v.tag, -v.components))
+    return _left_jacobian(v.tag._layout, -v.components)
+
+
+def _left_jacobian(lay: _Layout, c: np.ndarray) -> np.ndarray:
+    if not lay.nb:
+        return _assemble(lay, None, None)
+    phi = c[lay.phi]
+    s = _skews(phi)
+    s2 = s @ s
+    thetas = _angles(phi)
+    _, jc, _, je = _coefficients(_exp_coefficients, thetas)
+    off = _q_blocks(lay, c, s, s2, thetas) if lay.nc else None
+    return _assemble(lay, _EYE3 + jc * s + je * s2, off)
 
 
 def left_jacobian_inv(v: TangentVector) -> np.ndarray:
-    tag = v.tag
-    if tag.family == "SO3":
-        return _so3_left_jacobian_inv(v.components)
-    if tag.family == "Tn":
-        return np.eye(tag.n)
-    if tag.family == "Composite":
-        blocks = [left_jacobian_inv(TangentVector(p, v.components[sl]))
-                  for p, sl in _tangent_slices(tag)]
-        return _blkdiag(blocks)
-    # SE(3)/SEk3: the blocks are not triangular in the linear-first
-    # serialization, so invert the dense closed form.
-    phi = v.components[3:6]
-    _check_jacobian_angle(_norm(phi))
-    return np.linalg.inv(left_jacobian(v))
+    return _left_jacobian_inv(v.tag._layout, v.components)
 
 
 def right_jacobian_inv(v: TangentVector) -> np.ndarray:
-    return left_jacobian_inv(TangentVector(v.tag, -v.components))
+    return _left_jacobian_inv(v.tag._layout, -v.components)
+
+
+def _left_jacobian_inv(lay: _Layout, c: np.ndarray) -> np.ndarray:
+    # With J = [[J3, Q], [0, J3]] on the (u, phi) slots of a column, the
+    # inverse is [[J3^-1, -J3^-1 Q J3^-1], [0, J3^-1]].
+    if not lay.nb:
+        return _assemble(lay, None, None)
+    phi = c[lay.phi]
+    thetas = _angles(phi)
+    for theta in thetas:
+        _check_jacobian_angle(theta)
+    s = _skews(phi)
+    s2 = s @ s
+    (e,) = _coefficients(_jacobian_inv_coefficient, thetas)
+    jinv = _EYE3 - 0.5 * s + e * s2
+    off = None
+    if lay.nc:
+        j = jinv.take(lay.col_block, axis=0)
+        off = -(j @ _q_blocks(lay, c, s, s2, thetas) @ j)
+    return _assemble(lay, jinv, off)
 
 
 def compose(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -521,28 +514,21 @@ def compose(x: GroupElement, y: GroupElement) -> GroupElement:
 
 
 def inverse(x: GroupElement) -> GroupElement:
-    tag = x.tag
-    m = x.matrix
-    if tag.family == "SO3":
-        return _trusted_element(tag, m.T.copy())
-    if tag.family == "SEk3":
-        r = m[:3, :3]
-        out = np.eye(3 + tag.k)
-        out[:3, :3] = r.T
-        out[:3, 3:] = -r.T @ m[:3, 3:]
-        return _trusted_element(tag, out)
-    if tag.family == "Tn":
-        n = tag.n
-        out = np.eye(n + 1)
-        out[:n, n] = -m[:n, n]
-        return _trusted_element(tag, out)
-    blocks = [inverse(_trusted_element(p, b)).matrix
-              for p, b in zip(tag.parts, _diag_blocks(tag, m))]
-    return _trusted_element(tag, _blkdiag(blocks))
+    lay, m = x.tag._layout, x.matrix
+    out = lay.eye.copy()
+    if lay.nb:
+        out.put(lay.rot_t, m.take(lay.rot))
+        if lay.nc:
+            # -R^T t from the same full product that compose takes, so
+            # inverse(x) @ x has exactly zero translation
+            out.put(lay.col, -(out @ m).take(lay.col))
+    if lay.nt:
+        out.put(lay.tn, -m.take(lay.tn))
+    return _trusted_element(x.tag, out)
 
 
 def identity(tag: GroupTag) -> GroupElement:
-    return _trusted_element(tag, np.eye(tag.matrix_dim))
+    return _trusted_element(tag, tag._layout.eye.copy())
 
 
 def logvee(x: GroupElement) -> np.ndarray:
@@ -563,6 +549,14 @@ def _blkdiag(blocks) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Composite helpers
+
+
+def _diag_blocks(tag: GroupTag, m: np.ndarray):
+    i = 0
+    for part in tag.parts:
+        d = part.matrix_dim
+        yield m[i:i + d, i:i + d]
+        i += d
 
 
 def composite_element(tag: GroupTag, parts) -> GroupElement:

@@ -122,6 +122,7 @@ class KinematicChain:
         self._fk_sin[:, :3, :3] = origin[:, :3, :3] @ k
         self._fk_vers = np.zeros_like(origin)
         self._fk_vers[:, :3, :3] = origin[:, :3, :3] @ (k @ k)
+        self._paths = {}
 
     @property
     def dof(self):
@@ -165,8 +166,14 @@ class KinematicChain:
         poses = poses if poses is not None else self.link_poses(s)
         return G.compose(poses[link], offset)
 
-    def _path_joints(self, link_from, link_to):
-        """Joints on the tree path, tagged +1 if walked parent-to-child."""
+    def _path(self, link_from, link_to):
+        """The joints on the tree path, as (child links, axes (n, 3, 1),
+        signs (n, 1), Jacobian columns). The sign is +1 for a joint walked
+        parent-to-child. Built once per pair of links."""
+        path = self._paths.get((link_from, link_to))
+        if path is not None:
+            return path
+
         def chain_to_base(link):
             out = []
             while link != self.base_link:
@@ -178,8 +185,14 @@ class KinematicChain:
         up_to = chain_to_base(link_to)
         names_from = {j.name for j in up_from}
         names_to = {j.name for j in up_to}
-        path = [(j, -1.0) for j in up_from if j.name not in names_to]
-        path += [(j, +1.0) for j in up_to if j.name not in names_from]
+        joints = [(j, -1.0) for j in up_from if j.name not in names_to]
+        joints += [(j, +1.0) for j in up_to if j.name not in names_from]
+        path = ([j.child for j, _ in joints],
+                np.array([j.axis for j, _ in joints]).reshape(-1, 3, 1),
+                np.array([sign for _, sign in joints]).reshape(-1, 1),
+                np.array([self._joint_index[j.name] for j, _ in joints],
+                         dtype=int))
+        self._paths[(link_from, link_to)] = path
         return path
 
 
@@ -232,6 +245,11 @@ def relative_fk(chain, s, frame_from, frame_to,
     return G.compose(G.inverse(a), b)
 
 
+# (p x w)_i = p[A_i] w[B_i] - p[B_i] w[A_i]
+_CROSS_A = np.array([1, 2, 0])
+_CROSS_B = np.array([2, 0, 1])
+
+
 def relative_jacobian_left_trivialized(chain, s, frame_from, frame_to,
                                        poses=None):
     """6 x dof map from joint rates to the left-trivialized relative twist.
@@ -246,11 +264,16 @@ def relative_jacobian_left_trivialized(chain, s, frame_from, frame_to,
     target_inv = G.inverse(chain.frame_pose(s, frame_to, poses))
     link_from, _ = chain.frame_link(frame_from)
     link_to, _ = chain.frame_link(frame_to)
+    children, axes, signs, columns = chain._path(link_from, link_to)
     jac = np.zeros((6, chain.dof))
-    for joint, sign in chain._path_joints(link_from, link_to):
-        rel = G.compose(target_inv, poses[joint.child])
-        sigma = np.concatenate([np.zeros(3), joint.axis])
-        jac[:, chain._joint_index[joint.name]] = sign * G.adjoint(rel) @ sigma
+    if columns.size:
+        # Ad(rel) (0, a) = (p x R a, R a) for rel = (R, p), all joints at once
+        rel = target_inv.matrix @ np.array([poses[c].matrix for c in children])
+        w = (rel[:, :3, :3] @ axes)[:, :, 0]
+        p = rel[:, :3, 3]
+        v = p[:, _CROSS_A] * w[:, _CROSS_B] - p[:, _CROSS_B] * w[:, _CROSS_A]
+        jac[:3, columns] = (signs * v).T
+        jac[3:, columns] = (signs * w).T
     return jac
 
 

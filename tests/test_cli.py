@@ -180,6 +180,14 @@ def test_driver_dt_matches_the_stamp_lookup(short_walk, monkeypatch, gap):
     assert got == expect
 
 
+def test_run_estimator_without_encoder_records_raises(short_walk):
+    log, _ = short_walk
+    imu_only = [r for r in cli.read_sensor_log(log) if r["kind"] == "imu"]
+    with pytest.raises(G.InvalidArgumentError, match="no encoder record"):
+        cli.run_estimator("diligent-kio", imu_only, S.walker_chain(),
+                          E.NoiseConfig())
+
+
 @pytest.mark.parametrize("name", ["diligent-kio", "codiligent-kio-rie",
                                   "human-ekf", "swa", "legged-odometry"])
 def test_one_link_poses_call_per_encoder_record(short_walk, monkeypatch,

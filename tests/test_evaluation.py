@@ -116,6 +116,16 @@ def test_rpe_rejects_a_non_orthonormal_rotation():
             EV.rpe(a, b, interval=2)
 
 
+def test_ate_rejects_a_non_orthonormal_rotation():
+    truth = make_trajectory(n=10)
+    bad = list(truth)
+    bad[6] = EV.PoseSample(bad[6].t, 1.01 * bad[6].rotation, bad[6].position,
+                           bad[6].velocity)
+    for a, b in ((truth, bad), (bad, truth)):
+        with pytest.raises(G.InvalidArgumentError, match="orthonormal"):
+            EV.ate(a, b)
+
+
 def test_align_first_pose_matches_and_preserves_increments():
     truth = make_trajectory(seed=5)
     est = make_trajectory(seed=6)

@@ -330,6 +330,118 @@ def test_composite_blockwise_equality(rng):
 
 
 # ---------------------------------------------------------------------------
+# Batched kernels: a composite runs every block in one pass
+
+
+KERNEL_TAGS = {
+    "diligent": G.composite(G.SEk3(2), G.SE3, G.SE3, G.Tn(6)),
+    "diligent-2-landmarks": G.composite(G.SEk3(2), *[G.SE3] * 4, G.Tn(6)),
+    "human": G.composite(G.SEk3(10), G.Tn(3), G.SO3, G.SO3),
+}
+
+
+def _blkdiag(blocks):
+    d = sum(b.shape[0] for b in blocks)
+    out = np.zeros((d, d))
+    i = 0
+    for b in blocks:
+        out[i:i + b.shape[0], i:i + b.shape[0]] = b
+        i += b.shape[0]
+    return out
+
+
+def _tangent_parts(v):
+    out, i = [], 0
+    for part in v.tag.parts:
+        out.append(G.TangentVector(part, v.components[i:i + part.algebra_dim]))
+        i += part.algebra_dim
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_TAGS))
+def test_batched_kernels_equal_the_leaf_kernels_blockwise(rng, name):
+    tag = KERNEL_TAGS[name]
+    for _ in range(10):
+        v = random_tangent(tag, rng, scale=0.9)
+        parts = _tangent_parts(v)
+        x = G.exp(v)
+        leaves = G.composite_parts(x)
+        np.testing.assert_array_equal(
+            x.matrix, _blkdiag([G.exp(p).matrix for p in parts]))
+        np.testing.assert_array_equal(
+            G.log(x).components,
+            np.concatenate([G.log(e).components for e in leaves]))
+        np.testing.assert_array_equal(
+            G.adjoint(x), _blkdiag([G.adjoint(e) for e in leaves]))
+        np.testing.assert_array_equal(
+            G.inverse(x).matrix,
+            _blkdiag([G.inverse(e).matrix for e in leaves]))
+        for kernel in (G.left_jacobian, G.right_jacobian, G.left_jacobian_inv):
+            np.testing.assert_array_equal(
+                kernel(v), _blkdiag([kernel(p) for p in parts]))
+
+
+def test_composite_with_a_small_and_a_large_angle_matches_the_series(rng):
+    tag = G.composite(G.SEk3(2), G.SE3, G.SO3)
+    for _ in range(10):
+        c = rng.uniform(-1.0, 1.0, tag.algebra_dim)
+        phi = rng.standard_normal(3)
+        c[3:6] = 0.5 * G._SMALL_ANGLE * phi / np.linalg.norm(phi)
+        phi = rng.standard_normal(3)
+        c[12:15] = rng.uniform(0.9, 1.1) * phi / np.linalg.norm(phi)
+        v = G.TangentVector(tag, c)
+        np.testing.assert_allclose(G.exp(v).matrix, series_expm(G.hat(v)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(G.left_jacobian(v), series_left_jacobian(v),
+                                   atol=1e-10)
+        np.testing.assert_allclose(
+            G.left_jacobian(v) @ G.left_jacobian_inv(v),
+            np.eye(tag.algebra_dim), atol=1e-10)
+        np.testing.assert_allclose(G.log(G.exp(v)).components, c, atol=1e-10)
+
+
+def test_nested_composite_matches_its_flat_composite(rng):
+    inner = G.composite(G.SE3, G.Tn(2))
+    nested = G.composite(G.SEk3(2), inner, G.SO3)
+    flat = G.composite(G.SEk3(2), G.SE3, G.Tn(2), G.SO3)
+    assert nested.algebra_dim == flat.algebra_dim == 20
+    assert nested.matrix_dim == flat.matrix_dim == 15
+    for _ in range(5):
+        c = rng.uniform(-0.8, 0.8, flat.algebra_dim)
+        a, b = G.TangentVector(nested, c), G.TangentVector(flat, c)
+        x, y = G.exp(a), G.exp(b)
+        np.testing.assert_array_equal(x.matrix, y.matrix)
+        np.testing.assert_array_equal(G.log(x).components, G.log(y).components)
+        np.testing.assert_array_equal(G.adjoint(x), G.adjoint(y))
+        np.testing.assert_array_equal(G.inverse(x).matrix, G.inverse(y).matrix)
+        np.testing.assert_array_equal(G.hat(a), G.hat(b))
+        np.testing.assert_array_equal(G.vee(G.hat(a), nested).components, c)
+        for kernel in (G.left_jacobian, G.right_jacobian, G.left_jacobian_inv,
+                       G.right_jacobian_inv):
+            np.testing.assert_array_equal(kernel(a), kernel(b))
+        G.GroupElement(nested, x.matrix)
+        parts = G.composite_parts(x)
+        assert [p.tag for p in parts] == [G.SEk3(2), inner, G.SO3]
+        np.testing.assert_array_equal(
+            G.composite_element(nested, parts).matrix, x.matrix)
+
+
+def test_composite_tags_are_interned():
+    assert G.composite(G.SE3, G.SE3) is G.composite(G.SE3, G.SE3)
+    assert G.composite(G.SEk3(2), G.Tn(6)) is G.composite(G.SEk3(2), G.Tn(6))
+    assert G.SEk3(3) is G.SEk3(3) and G.Tn(4) is G.Tn(4)
+    assert G.composite(G.SE3, G.SE3) is not G.composite(G.SE3, G.SO3)
+
+
+def test_element_rejects_off_diagonal_entries_of_a_composite(rng):
+    tag = G.composite(G.SE3, G.Tn(3))
+    m = G.exp(random_tangent(tag, rng)).matrix.copy()
+    m[1, 6] = 0.1
+    with pytest.raises(G.InvalidArgumentError):
+        G.GroupElement(tag, m)
+
+
+# ---------------------------------------------------------------------------
 # RPY and quaternions
 
 

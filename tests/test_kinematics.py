@@ -266,6 +266,49 @@ def test_relative_jacobian_finite_difference(rng):
         assert np.abs(jac - fd).max() < 1e-5
 
 
+def per_joint_relative_jacobian(chain, s, frame_from, frame_to):
+    """Column by column: sign * Ad(target^-1 * child pose) (0, axis) for each
+    joint on the tree path, -1 on the way up from frame_from, +1 on the way
+    down to frame_to."""
+    def joints_to_base(frame):
+        link, out = chain.frame_link(frame)[0], []
+        while link != chain.base_link:
+            j = next(j for j in chain.joints if j.child == link)
+            out.append(j)
+            link = j.parent
+        return out
+    up, down = joints_to_base(frame_from), joints_to_base(frame_to)
+    path = ([(j, -1.0) for j in up if j not in down]
+            + [(j, 1.0) for j in down if j not in up])
+    poses = chain.link_poses(s)
+    target_inv = G.inverse(chain.frame_pose(s, frame_to, poses))
+    jac = np.zeros((6, chain.dof))
+    for j, sign in path:
+        rel = G.compose(target_inv, poses[j.child])
+        jac[:, chain.joints.index(j)] = (
+            sign * G.adjoint(rel) @ np.concatenate([np.zeros(3), j.axis]))
+    return jac
+
+
+@pytest.mark.parametrize("which", ["walker", "branched"])
+def test_batched_relative_jacobian_matches_the_per_joint_formula(rng, which):
+    if which == "walker":
+        from lie_estimate import simdata as S
+        chain = S.walker_chain()
+        pairs = [("pelvis", "left_sole"), ("right_sole", "pelvis"),
+                 ("left_sole", "right_sole"), ("left_foot", "left_sole")]
+    else:
+        chain = K.load_chain(branched_chain_json())
+        pairs = [("torso", "l_palm"), ("l_palm", "head"), ("r_fore", "l_fore"),
+                 ("l_upper", "l_palm"), ("head", "torso")]
+    for _ in range(10):
+        s = rng.uniform(-np.pi, np.pi, chain.dof)
+        for a, b in pairs:
+            got = K.relative_jacobian_left_trivialized(chain, s, a, b)
+            expect = per_joint_relative_jacobian(chain, s, a, b)
+            assert np.abs(got - expect).max() < 1e-12
+
+
 def test_mixed_jacobian_at_base_is_identity_block(rng):
     chain = make_arm()
     base = random_element(G.SE3, rng)
