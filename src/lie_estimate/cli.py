@@ -256,6 +256,7 @@ def run_estimator(name, records, chain, noise, seed=0,
     contacts = {"left": True, "right": True}
     rows = []
     prev_t = None
+    held = []
     for idx, t in enumerate(times):
         recs = by_time[t]
         dt = (t - prev_t) if prev_t is not None else None
@@ -266,17 +267,19 @@ def run_estimator(name, records, chain, noise, seed=0,
             if rec["kind"] == "encoder":
                 driver.on_encoder(rec, contacts, dt)
         rows.append((t,) + driver.estimate())
-        for rec in recs:
-            if rec["kind"] == "imu":
-                step = driver_dt(times, idx)
-                driver.on_imu(rec, contacts, step)
+        # a stamp without an IMU record holds the last one, so propagation
+        # runs through IMU gaps up to the next stamp
+        imus = [rec for rec in recs if rec["kind"] == "imu"] or held
+        for rec in imus:
+            driver.on_imu(rec, contacts, driver_dt(times, idx))
+        held = imus[-1:]
         prev_t = t
     return rows
 
 
 def driver_dt(times, idx):
-    """Step of the IMU record at times[idx]: up to the next stamp of any
-    kind; the last stamp repeats the step before it."""
+    """IMU step at times[idx]: up to the next stamp of any kind; the last
+    stamp repeats the step before it."""
     if idx + 1 < len(times):
         return times[idx + 1] - times[idx]
     return times[idx] - times[idx - 1] if idx > 0 else 0.01

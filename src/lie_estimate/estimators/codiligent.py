@@ -15,8 +15,7 @@ import numpy as np
 from .. import filtercore as FC
 from .. import groups as G
 from .diligent import (GRAVITY, DiligentState, ImuInput, _check_dt,
-                       _exact_mean, _motion_increment, _slot,
-                       bias_corrected_readings, _FOOT_INDEX)
+                       _motion_increment, _slot, bias_corrected_readings)
 from .noise import NoiseConfig
 
 
@@ -67,7 +66,7 @@ def codiligent_error_matrix(state, imu: ImuInput, variant):
 
 
 def codiligent_predict(state, imu: ImuInput, contacts, noise: NoiseConfig,
-                       variant, exact_integration=False) -> DiligentState:
+                       variant) -> DiligentState:
     """One prediction step of the continuous-linearization estimator."""
     _check_dt(imu.dt)
     dt = imu.dt
@@ -78,12 +77,9 @@ def codiligent_predict(state, imu: ImuInput, contacts, noise: NoiseConfig,
         q_hat = lift @ w_cov @ lift.T
     else:
         q_hat = w_cov
-    def flow(x):
-        if exact_integration:
-            return _exact_mean(state, imu)
-        return G.compose(x, G.exp(_motion_increment(state, imu)))
+    mean = G.compose(state.element, G.exp(_motion_increment(state, imu)))
     f_k = np.eye(state.dim) + f_c * dt
     q_k = f_k @ q_hat @ f_k.T
     belief = FC.invekf_propagate(
-        FC.BeliefState(state.element, state.covariance), flow, f_c, q_k, dt)
+        FC.BeliefState(state.element, state.covariance), mean, f_c, q_k, dt)
     return DiligentState(belief.mean, belief.covariance, state.landmark_ids)

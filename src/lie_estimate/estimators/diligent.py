@@ -227,13 +227,10 @@ def diligent_predict(state, imu: ImuInput, contacts, noise: NoiseConfig,
     _check_dt(imu.dt)
     jacobian = (_motion_jacobian_right if side == "right"
                 else _motion_jacobian_left)
-    model = FC.MotionModel(
-        motion=lambda x, u, dt: _motion_increment(state, imu),
-        jacobian=lambda x, u, dt: jacobian(state, imu),
-        noise=lambda x, u, dt: _process_cov(state, contacts, noise, imu.dt))
     belief = FC.dlgekf_predict(
-        FC.BeliefState(state.element, state.covariance), model, None, imu.dt,
-        side=side)
+        FC.BeliefState(state.element, state.covariance),
+        _motion_increment(state, imu), jacobian(state, imu),
+        _process_cov(state, contacts, noise, imu.dt), side=side)
     mean = _exact_mean(state, imu) if exact_integration else belief.mean
     return DiligentState(mean, belief.covariance, state.landmark_ids)
 
@@ -298,34 +295,29 @@ def _measurement_jacobian_left(state, side):
 
 
 def _stacked_measurement(state, measurements, jacobian_fn):
+    """(predicted, z, h, n) for a list of (side, pose, covariance) foot
+    measurements, stacked on composite(SE3, ...) with one part per foot.
+    The poses come from FK and the predictions from _trusted_se3, so the
+    block-diagonals need no re-validation."""
     if len(measurements) == 0:
         raise G.InvalidArgumentError("need at least one foot measurement")
-    sides = [m[0] for m in measurements]
-    for side in sides:
+    for side, pose, _ in measurements:
         if side not in _FOOT_INDEX:
             raise G.InvalidArgumentError(f"unknown foot {side!r}")
-    if len(measurements) == 1:
-        side, z, n = measurements[0]
-        model = FC.GroupMeasurementModel(
-            h=lambda x: _predicted_foot_pose(state, side),
-            jacobian=lambda x: jacobian_fn(state, side),
-            noise=lambda x: n)
-        return model, z
+        if pose.tag != G.SE3:
+            raise G.InvalidArgumentError("a foot measurement is an SE(3) pose")
     tag = G.composite(*[G.SE3] * len(measurements))
-    z = G.composite_of(*[m[1] for m in measurements])
-    big_n = np.zeros((6 * len(measurements), 6 * len(measurements)))
-    big_h = np.vstack([jacobian_fn(state, m[0]) for m in measurements])
-    for i, m in enumerate(measurements):
-        big_n[6 * i:6 * i + 6, 6 * i:6 * i + 6] = m[2]
-    model = FC.GroupMeasurementModel(
-        h=lambda x: G.composite_of(
-            *[_predicted_foot_pose(state, m[0]) for m in measurements]),
-        jacobian=lambda x: big_h,
-        noise=lambda x: big_n)
-    return model, z
+    predicted = G._trusted_element(tag, G._blkdiag(
+        [_predicted_foot_pose(state, side).matrix
+         for side, _, _ in measurements]))
+    z = G._trusted_element(tag, G._blkdiag(
+        [pose.matrix for _, pose, _ in measurements]))
+    h = np.vstack([jacobian_fn(state, side) for side, _, _ in measurements])
+    n = G._blkdiag([np.asarray(cov, float) for _, _, cov in measurements])
+    return predicted, z, h, n
 
 
-def diligent_update(state, measurements, side="right", joseph=False,
+def diligent_update(state, measurements, side="right",
                     gate=None) -> DiligentState:
     """Fuse relative foot-pose measurements, with the error on the given
     side of the mean ("right" or "left").
@@ -335,9 +327,9 @@ def diligent_update(state, measurements, side="right", joseph=False,
     """
     jacobian = (_measurement_jacobian_right if side == "right"
                 else _measurement_jacobian_left)
-    model, z = _stacked_measurement(state, measurements, jacobian)
+    predicted, z, h, n = _stacked_measurement(state, measurements, jacobian)
     belief = FC.dlgekf_update(FC.BeliefState(state.element, state.covariance),
-                              model, z, side=side, joseph=joseph, gate=gate)
+                              predicted, z, h, n, side=side, gate=gate)
     return DiligentState(belief.mean, belief.covariance, state.landmark_ids)
 
 

@@ -145,15 +145,12 @@ def human_initial_state(base_pose, velocity, vertex_positions,
 
 
 def human_ekf_predict(state, dt, noise: NoiseConfig = HUMAN_NOISE,
-                      foot_rotations_in_base=None,
                       contacts=None) -> HumanEkfState:
     """Constant-velocity prediction with first-order covariance propagation.
 
-    foot_rotations_in_base optionally maps "left"/"right" to the base-to-shoe
-    rotation used to lift the contact-point velocity noise. contacts
-    optionally maps "left"/"right" to booleans; a swinging shoe gets its
-    contact-point and orientation noise inflated so the next stance
-    measurements can re-seat it.
+    contacts optionally maps "left"/"right" to booleans; a swinging shoe
+    gets its contact-point and orientation noise inflated so the next
+    stance measurements can re-seat it.
     """
     if dt <= 0.0:
         raise G.InvalidArgumentError("dt must be positive")
@@ -184,10 +181,7 @@ def human_ekf_predict(state, dt, noise: NoiseConfig = HUMAN_NOISE,
                 scales[side] = noise.swing_scale ** 2
     for i in range(N_VERTICES):
         side = "left" if i < 4 else "right"
-        lift = np.eye(3)
-        if foot_rotations_in_base is not None:
-            lift = np.asarray(foot_rotations_in_base[side], float)
-        q_c[_vslot(i), _vslot(i)] = scales[side] * lift @ vert_cov @ lift.T
+        q_c[_vslot(i), _vslot(i)] = scales[side] * vert_cov
     q_c[_ZL, _ZL] = scales["left"] * noise.foot_angular ** 2 * np.eye(3)
     q_c[_ZR, _ZR] = scales["right"] * noise.foot_angular ** 2 * np.eye(3)
     adj = G.adjoint(state.element)
@@ -329,12 +323,10 @@ def human_update_terrain_height(state, vertex, height,
     h = np.zeros((3, _DIM))
     h[:, _R] = -G.skew(d_hat)
     h[:, _vslot(vertex)] = np.eye(3)
-    model = FC.GroupMeasurementModel(
-        h=lambda x: G.tn_element(state.vertex_position(vertex)),
-        jacobian=lambda x: h, noise=lambda x: cov)
     belief = FC.dlgekf_update(
-        FC.BeliefState(state.element, state.covariance), model,
-        G.tn_element(target), side="left", gate=gate)
+        FC.BeliefState(state.element, state.covariance),
+        G.tn_element(d_hat), G.tn_element(target), h, cov, side="left",
+        gate=gate)
     return HumanEkfState(belief.mean, belief.covariance)
 
 
@@ -347,13 +339,11 @@ def human_update_relative_foot_rotation(state, side, measured_rotation,
     h = np.zeros((3, _DIM))
     h[:, _R] = -z_f.T
     h[:, _ZL if side == "left" else _ZR] = z_f.T
-    model = FC.GroupMeasurementModel(
-        h=lambda x: G.so3_element(r.T @ z_f),
-        jacobian=lambda x: h,
-        noise=lambda x: np.asarray(covariance, float) + 1e-12 * np.eye(3))
+    n = np.asarray(covariance, float) + 1e-12 * np.eye(3)
     belief = FC.dlgekf_update(
-        FC.BeliefState(state.element, state.covariance), model,
-        G.so3_element(measured_rotation), side="left", gate=gate)
+        FC.BeliefState(state.element, state.covariance),
+        G.so3_element(r.T @ z_f), G.so3_element(measured_rotation), h, n,
+        side="left", gate=gate)
     return HumanEkfState(belief.mean, belief.covariance)
 
 
@@ -363,13 +353,10 @@ def human_update_contact_plane(state, side, plane_rotation, covariance,
     z_f = state.foot_rotation(side)
     h = np.zeros((3, _DIM))
     h[:, _ZL if side == "left" else _ZR] = z_f.T
-    model = FC.GroupMeasurementModel(
-        h=lambda x: G.so3_element(z_f),
-        jacobian=lambda x: h,
-        noise=lambda x: np.asarray(covariance, float))
     belief = FC.dlgekf_update(
-        FC.BeliefState(state.element, state.covariance), model,
-        G.so3_element(plane_rotation), side="left", gate=gate)
+        FC.BeliefState(state.element, state.covariance), G.so3_element(z_f),
+        G.so3_element(plane_rotation), h, np.asarray(covariance, float),
+        side="left", gate=gate)
     return HumanEkfState(belief.mean, belief.covariance)
 
 

@@ -18,6 +18,18 @@ GRAVITY_MAGNITUDE = 9.80665
 
 @dataclass(frozen=True)
 class NoiseConfig:
+    """Sensor, process and prior standard deviations.
+
+    Process noise scales with the step differently per estimator family.
+    The DILIGENT predictors add sigma^2 dt^2 of variance per step for
+    accel, gyro, the bias random walks and the foot slip (exactly in
+    diligent_predict, to leading order in codiligent_predict): sigma is
+    the standard deviation of a rate held over the step. human_ekf_predict
+    adds sigma^2 dt for the base rates and the shoe slip: sigma is a
+    continuous-time noise density. So the same foot_linear gives a
+    DILIGENT foot dt times the position variance per step that it gives a
+    human-EKF contact vertex.
+    """
     accel: float = 0.09                      # m/s^2
     gyro: float = 0.01                       # rad/s
     accel_bias: float = 0.01                 # m/s^2 random walk

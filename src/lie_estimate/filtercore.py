@@ -1,13 +1,17 @@
 """Kalman filtering engines on matrix Lie groups.
 
-Two engines, all pure functions of (belief, model, input):
+Two engines, all pure functions of a belief and the step's linearization,
+given as arrays the caller computes at the mean it holds:
 
   * dlgekf_predict / dlgekf_update           - discrete filter; one function
     per step, whose side argument is the error side: "right" keeps
-    X = mean * exp(err), "left" keeps X = exp(err) * mean.
+    X = mean * exp(err), "left" keeps X = exp(err) * mean. A prediction is
+    a tangent increment, its error Jacobian and its noise; an update is a
+    predicted and a measured group element, H and N.
   * invekf_propagate / invekf_update         - continuous-discrete invariant
     filter for group-affine dynamics with left- or right-invariant vector
-    observations; here side names the observation side.
+    observations; here side names the observation side. Propagation takes
+    the advanced mean and the error-dynamics matrix.
 
 Error/correction bookkeeping for the invariant engine: with a right-side
 observation z = X^-1 b + n and error estimate = exp(err) * truth, the raw
@@ -45,32 +49,11 @@ class BeliefState:
             raise G.InvalidArgumentError("covariance must be symmetric")
 
 
-@dataclass(frozen=True)
-class MotionModel:
-    """Discrete motion increment and its linearization.
-
-    motion(X, u, dt) returns the tangent increment applied multiplicatively
-    to the mean; jacobian(X, u, dt) is the derivative of that increment with
-    respect to the state error; noise(X, u, dt) is the increment covariance.
-    """
-    motion: callable
-    jacobian: callable
-    noise: callable
-
-
-@dataclass(frozen=True)
-class GroupMeasurementModel:
-    """Group-valued observation h(X) with error-derivative H and noise N."""
-    h: callable
-    jacobian: callable
-    noise: callable
-
-
 def _sym(p):
     return (p + p.T) / 2.0
 
 
-def _posterior_cov(p, k, h, n, joseph):
+def _posterior_cov(p, k, h, n, joseph=False):
     i = np.eye(p.shape[0])
     if joseph:
         a = i - k @ h
@@ -89,17 +72,17 @@ def _gain_and_offset(p, h, n, innovation, gate):
     return k, k @ innovation
 
 
-def dlgekf_predict(belief, model: MotionModel, u, dt,
-                   side="right") -> BeliefState:
-    """The mean moves by exp of the motion increment. side is the error
+def dlgekf_predict(belief, omega, f_input, q, side="right") -> BeliefState:
+    """The mean moves by exp of the tangent increment omega, a
+    TangentVector on the mean's group. f_input is the derivative of omega
+    with respect to the state error and q its covariance. side is the error
     side, "right" (X = mean * exp(err)) or "left" (X = exp(err) * mean);
-    the motion Jacobian is given in the same terms."""
+    f_input is given in the same terms."""
     if side not in ("right", "left"):
         raise G.InvalidArgumentError("side must be 'right' or 'left'")
     x = belief.mean
-    omega = model.motion(x, u, dt)
-    f_input = np.asarray(model.jacobian(x, u, dt), dtype=float)
-    q = np.asarray(model.noise(x, u, dt), dtype=float)
+    f_input = np.asarray(f_input, dtype=float)
+    q = np.asarray(q, dtype=float)
     step = G.exp(omega)
     if side == "right":
         lift = G.right_jacobian(omega)
@@ -112,20 +95,21 @@ def dlgekf_predict(belief, model: MotionModel, u, dt,
     return BeliefState(mean, cov)
 
 
-def dlgekf_update(belief, model: GroupMeasurementModel, z, side="right",
-                  joseph=False, gate=None) -> BeliefState:
-    """Update against a group-valued measurement. side is the error side,
-    as in dlgekf_predict (invekf_update's side is the observation side)."""
+def dlgekf_update(belief, predicted, z, h, n, side="right", joseph=False,
+                  gate=None) -> BeliefState:
+    """Update against a group-valued measurement z, where predicted is the
+    measurement expected at the mean, h the derivative of
+    log(predicted^-1 z) with respect to the state error and n its noise.
+    side is the error side, as in dlgekf_predict (invekf_update's side is
+    the observation side)."""
     if side not in ("right", "left"):
         raise G.InvalidArgumentError("side must be 'right' or 'left'")
     x = belief.mean
-    predicted = model.h(x)
     try:
         innovation = G.logvee(G.compose(G.inverse(predicted), z))
     except G.AmbiguousLogarithmError as e:
         raise MeasurementRejected("measurement log is ambiguous") from e
-    h = np.asarray(model.jacobian(x), dtype=float)
-    n = model.noise(x) if callable(model.noise) else model.noise
+    h = np.asarray(h, dtype=float)
     k, m = _gain_and_offset(belief.covariance, h, n, innovation, gate)
     step = G.TangentVector(x.tag, m)
     if side == "right":
@@ -144,14 +128,13 @@ dlgekf_rie_predict = functools.partial(dlgekf_predict, side="left")
 dlgekf_rie_update = functools.partial(dlgekf_update, side="left")
 
 
-def invekf_propagate(belief, flow, a_matrix, q_hat, dt) -> BeliefState:
+def invekf_propagate(belief, mean, a_matrix, q_hat, dt) -> BeliefState:
     """Invariant-filter propagation.
 
-    flow(X) advances the mean over one step; the error covariance follows
+    mean is the mean advanced over one step; the error covariance follows
     the linear error dynamics discretized to first order:
     P+ = (I + A dt) P (I + A dt)^T + Q_hat dt.
     """
-    mean = flow(belief.mean)
     d = belief.mean.tag.algebra_dim
     f = np.eye(d) + np.asarray(a_matrix, dtype=float) * dt
     q = np.asarray(q_hat, dtype=float)
@@ -160,7 +143,7 @@ def invekf_propagate(belief, flow, a_matrix, q_hat, dt) -> BeliefState:
 
 
 def invekf_update(belief, z, b, h, n, side, selector=None,
-                  joseph=False, gate=None) -> BeliefState:
+                  gate=None) -> BeliefState:
     """Invariant-filter update from a homogeneous-vector observation.
 
     side "right" handles z = X^-1 b + n with a left-multiplied error,
@@ -193,5 +176,5 @@ def invekf_update(belief, z, b, h, n, side, selector=None,
     k, m = _gain_and_offset(belief.covariance, h, n, innovation, gate)
     step = G.exp(G.TangentVector(x.tag, -m))
     mean = G.compose(step, x) if side == "right" else G.compose(x, step)
-    cov = _sym(_posterior_cov(belief.covariance, k, h, n, joseph))
+    cov = _sym(_posterior_cov(belief.covariance, k, h, n))
     return BeliefState(mean, cov)

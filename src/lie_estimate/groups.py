@@ -304,8 +304,8 @@ def _exp_coefficients(theta: float):
     if theta < _SMALL_ANGLE:
         return (1.0 - t2 / 6.0 + t2 * t2 / 120.0, 0.5,
                 0.5 - t2 / 24.0 + t2 * t2 / 720.0, 1.0 / 6.0)
-    s = math.sin(theta)
-    b = (1.0 - math.cos(theta)) / t2
+    s, h = math.sin(theta), math.sin(theta / 2.0)
+    b = 2.0 * h * h / t2   # 1 - cos(theta), without the cancellation
     return s / theta, b, b, (theta - s) / (t2 * theta)
 
 
@@ -313,10 +313,15 @@ def _q_coefficients(theta: float):
     """(a, b, c, e) with Q = U/2 + a (PU + UP) + b PUP + c (PPU + UPP)
     + e (PUP + PPU) P, the (u, phi) block of the SE_k(3) left Jacobian for
     P = skew(phi) and U = skew(u)."""
-    if theta < _SMALL_ANGLE:
-        # Leading terms of the series; O(theta^2) beyond the linear term.
-        return 1.0 / 6.0, 0.0, 0.0, 0.0
     t2 = theta * theta
+    if theta < 0.02:
+        # The closed forms below cancel catastrophically for small theta;
+        # the series to theta^4 is exact to rounding here.
+        t4 = t2 * t2
+        c1 = 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0
+        c2 = 1.0 / 24.0 - t2 / 720.0 + t4 / 40320.0
+        c3 = 1.0 / 120.0 - t2 / 2520.0 + t4 / 120960.0
+        return c1, c1 - 3.0 * c2, c2, c3
     s, c = math.sin(theta), math.cos(theta)
     c1 = (theta - s) / (t2 * theta)
     c2 = (t2 + 2.0 * c - 2.0) / (2.0 * t2 * t2)

@@ -124,15 +124,13 @@ def test_translation_group_filtering_matches_a_textbook_ekf(engine):
     inputs = rng.standard_normal((1000, n))
     readings = rng.standard_normal((1000, 2))
 
-    motion = FC.MotionModel(
-        motion=lambda X, u, step: G.TangentVector(
-            X.tag, step * (a_lin @ G.tn_vector(X) + u)),
-        jacobian=lambda X, u, step: step * a_lin,
-        noise=lambda X, u, step: q)
-    meas = FC.GroupMeasurementModel(
-        h=lambda X: G.tn_element(h_lin @ G.tn_vector(X)),
-        jacobian=lambda X: h_lin,
-        noise=lambda X: r_cov)
+    def motion(X, u):
+        return (G.TangentVector(X.tag, dt * (a_lin @ G.tn_vector(X) + u)),
+                dt * a_lin, q)
+
+    def meas(X, y):
+        return (G.tn_element(h_lin @ G.tn_vector(X)), G.tn_element(y), h_lin,
+                r_cov)
     h_pinv = np.linalg.pinv(h_lin)
 
     for k in range(1000):
@@ -148,17 +146,17 @@ def test_translation_group_filtering_matches_a_textbook_ekf(engine):
         p = (p + p.T) / 2.0
         # engine under test
         if engine == "dlgekf":
-            belief = FC.dlgekf_predict(belief, motion, u, dt)
-            belief = FC.dlgekf_update(belief, meas, G.tn_element(y))
+            belief = FC.dlgekf_predict(belief, *motion(belief.mean, u))
+            belief = FC.dlgekf_update(belief, *meas(belief.mean, y))
         elif engine == "dlgekf_rie":
-            belief = FC.dlgekf_predict(belief, motion, u, dt, side="left")
-            belief = FC.dlgekf_update(belief, meas, G.tn_element(y),
+            belief = FC.dlgekf_predict(belief, *motion(belief.mean, u),
+                                       side="left")
+            belief = FC.dlgekf_update(belief, *meas(belief.mean, y),
                                       side="left")
         else:
-            def flow(X, u=u):
-                vec = G.tn_vector(X)
-                return G.tn_element(vec + dt * (a_lin @ vec + u))
-            belief = FC.invekf_propagate(belief, flow, a_lin, q / dt, dt)
+            vec = G.tn_vector(belief.mean)
+            mean = G.tn_element(vec + dt * (a_lin @ vec + u))
+            belief = FC.invekf_propagate(belief, mean, a_lin, q / dt, dt)
             z = np.append(h_pinv @ y, 1.0)
             b = np.append(np.zeros(n), 1.0)
             selector = np.hstack([h_lin, np.zeros((2, 1))])
@@ -287,13 +285,12 @@ def _fd_raw_update_h(state, rec, h=1e-6):
 
 
 def _capture_group_update(fn, state, *args, **kwargs):
-    """Record the measurement model a group-observation update builds."""
+    """Record the linearization a group-observation update feeds the core."""
     rec = {}
     orig = FC.dlgekf_update
-    def spy(belief, model, z, **kw):
-        rec.update(pred=model.h(belief.mean),
-                   h=np.array(model.jacobian(belief.mean), float), z=z)
-        return orig(belief, model, z, **kw)
+    def spy(belief, predicted, z, h, n, **kw):
+        rec.update(pred=predicted, h=np.array(h, float), z=z)
+        return orig(belief, predicted, z, h, n, **kw)
     FC.dlgekf_update = spy
     try:
         fn(state, *args, **kwargs)

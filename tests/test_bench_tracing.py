@@ -60,25 +60,22 @@ def test_rie_names_are_the_left_error_side(rng):
     ]
     x = random_element(G.SE3, rng)
     belief = FC.BeliefState(x, 0.01 * np.eye(6))
-    motion = FC.MotionModel(
-        motion=lambda X, u, dt: G.TangentVector(G.SE3, dt * np.arange(6.0)),
-        jacobian=lambda X, u, dt: dt * np.ones((6, 6)),
-        noise=lambda X, u, dt: dt * np.eye(6))
-    meas_model = FC.GroupMeasurementModel(
-        h=lambda X: X, jacobian=lambda X: np.eye(6),
-        noise=lambda X: 0.1 * np.eye(6))
+    dt = 0.1
+    motion = (G.TangentVector(G.SE3, dt * np.arange(6.0)),
+              dt * np.ones((6, 6)), dt * np.eye(6))
     z = G.compose(x, G.exp(G.TangentVector(G.SE3, 0.05 * np.ones(6))))
+    meas_model = (x, z, np.eye(6), 0.1 * np.eye(6))
     pairs += [
-        (FC.dlgekf_rie_predict(belief, motion, None, 0.1),
-         FC.dlgekf_predict(belief, motion, None, 0.1, side="left")),
-        (FC.dlgekf_rie_update(belief, meas_model, z),
-         FC.dlgekf_update(belief, meas_model, z, side="left")),
+        (FC.dlgekf_rie_predict(belief, *motion),
+         FC.dlgekf_predict(belief, *motion, side="left")),
+        (FC.dlgekf_rie_update(belief, *meas_model),
+         FC.dlgekf_update(belief, *meas_model, side="left")),
     ]
     for alias, merged in pairs:
         assert np.array_equal(_mean(alias), _mean(merged))
         assert np.array_equal(alias.covariance, merged.covariance)
     # the right side gives a different answer, so the check above has teeth
-    right = FC.dlgekf_predict(belief, motion, None, 0.1)
+    right = FC.dlgekf_predict(belief, *motion)
     assert not np.array_equal(right.covariance, pairs[2][1].covariance)
 
 

@@ -171,13 +171,36 @@ def test_driver_dt_matches_the_stamp_lookup(short_walk, monkeypatch, gap):
             return times[idx + 1] - t
         return times[idx] - times[idx - 1] if idx > 0 else 0.01
 
-    expect = [by_lookup(r["t"]) for r in records if r["kind"] == "imu"]
+    if gap:
+        # inside the gap the last IMU record holds: one step per stamp
+        first = min(r["t"] for r in records if r["kind"] == "imu")
+        expect = [by_lookup(t) for t in times if t >= first]
+    else:
+        expect = [by_lookup(r["t"]) for r in records if r["kind"] == "imu"]
     got = []
     dt = cli.driver_dt
     monkeypatch.setattr(cli, "driver_dt",
                         lambda *args: got.append(dt(*args)) or got[-1])
     cli.run_estimator("swa", records, S.walker_chain(), E.NoiseConfig())
     assert got == expect
+
+
+def test_imu_gap_holds_the_last_sample(tmp_path):
+    # a slow gait with 0.4 s of IMU records missing; stopping propagation at
+    # each encoder stamp inside the gap gave 0.17 m/s of velocity error
+    log, truth = str(tmp_path / "slow.jsonl"), str(tmp_path / "truth.csv")
+    assert run_cli("simulate", "--duration", "3.0", "--rate", "100",
+                   "--step-period", "2.0", "--out", log,
+                   "--truth", truth) == 0
+    records = _without_imu(cli.read_sensor_log(log), 1.2, 1.6)
+    rows = cli.run_estimator("diligent-kio", records, S.walker_chain(),
+                             E.NoiseConfig())
+    true_v = {round(s.t, 6): s.velocity
+              for s in cli.read_trajectory_csv(truth)}
+    errs = [np.linalg.norm(v - true_v[round(t, 6)]) for t, _, _, v in rows
+            if 1.2 - 1e-9 <= t < 2.1 - 1e-9]
+    assert len(errs) == 90
+    assert max(errs) < 0.05
 
 
 def test_run_estimator_without_encoder_records_raises(short_walk):

@@ -236,6 +236,22 @@ def test_update_gating_rejects_outliers():
     E.diligent_update(st, [(side, z, n)], gate=9.0)
 
 
+@pytest.mark.parametrize("feet", [("left",), ("left", "right")])
+def test_foot_update_builds_no_validated_element(monkeypatch, feet):
+    # the FK poses and the predicted foot poses are valid by construction,
+    # so the stacked update assembles its composites without re-checking
+    _, state, imu, meas = standing_setup()
+    st = E.diligent_predict(state, imu, {"left": True, "right": True},
+                            E.NoiseConfig())
+    checks = []
+    post_init = G.GroupElement.__post_init__
+    monkeypatch.setattr(G.GroupElement, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    for side in ("right", "left"):
+        E.diligent_update(st, [m for m in meas if m[0] in feet], side=side)
+    assert checks == []
+
+
 def test_accel_bias_estimation_on_stationary_data():
     """Standing still, the vertical accelerometer bias is observable through
     the leg kinematics; the horizontal components trade off against tilt and
@@ -315,6 +331,38 @@ def test_halving_the_step_halves_covariance_growth(family):
 
     ratio = growth(0.01, 100) / growth(0.005, 200)
     assert 1.7 < ratio < 2.3
+
+
+def test_process_noise_conventions():
+    """The same NoiseConfig field is a per-step standard deviation in the
+    DILIGENT family (variance sigma^2 dt^2) and a rate density in the human
+    EKF (variance sigma^2 dt): one predict from a zero covariance at the
+    identity adds exactly that to a stance foot's position."""
+    noise = E.NoiseConfig()
+    dt = 0.01
+    ident = G.identity(G.SE3)
+    prior = E.diligent_initial_state(ident, np.zeros(3), ident, ident, noise)
+    state = D.DiligentState(prior.element, np.zeros((27, 27)))
+    imu = ImuInput(accel=-GRAV, gyro=np.zeros(3), dt=dt)
+    contacts = {"left": True, "right": True}
+    expect = noise.foot_linear ** 2 * dt ** 2 * np.eye(3)
+    for out in (E.diligent_predict(state, imu, contacts, noise),
+                E.diligent_predict(state, imu, contacts, noise, side="left"),
+                E.codiligent_predict(state, imu, contacts, noise, "lie"),
+                E.codiligent_predict(state, imu, contacts, noise, "rie")):
+        for foot in (slice(9, 12), slice(15, 18)):
+            np.testing.assert_allclose(out.covariance[foot, foot], expect,
+                                       rtol=1e-12, atol=0.0)
+    human = H.human_initial_state(ident, np.zeros(3),
+                                  [np.zeros(3)] * H.N_VERTICES, np.zeros(3),
+                                  np.eye(3), np.eye(3), H.HUMAN_NOISE)
+    human = H.HumanEkfState(human.element, np.zeros((42, 42)))
+    out = H.human_ekf_predict(human, dt, H.HUMAN_NOISE)
+    expect = H.HUMAN_NOISE.foot_linear ** 2 * dt * np.eye(3)
+    for i in range(H.N_VERTICES):
+        vs = H._vslot(i)
+        np.testing.assert_allclose(out.covariance[vs, vs], expect,
+                                   rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

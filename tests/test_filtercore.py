@@ -14,17 +14,14 @@ def spd(n, rng, scale=1.0):
 
 
 def constant_motion(tag, omega_vec, f_tilde, q):
-    return FC.MotionModel(
-        motion=lambda x, u, dt: G.TangentVector(tag, np.asarray(omega_vec, float)),
-        jacobian=lambda x, u, dt: f_tilde,
-        noise=lambda x, u, dt: q)
+    """(omega, f_input, q), the increment arguments of dlgekf_predict."""
+    return G.TangentVector(tag, np.asarray(omega_vec, float)), f_tilde, q
 
 
 def full_state_measurement(n_cov):
-    return FC.GroupMeasurementModel(
-        h=lambda x: x,
-        jacobian=lambda x: np.eye(n_cov.shape[0]),
-        noise=lambda x: n_cov)
+    """(h, n) of a measurement of the whole state: the prediction is the
+    mean itself."""
+    return np.eye(n_cov.shape[0]), n_cov
 
 
 # --- prediction ------------------------------------------------------------------
@@ -34,7 +31,7 @@ def test_predict_zero_motion_zero_noise_is_identity(rng):
     p = spd(6, rng, 0.01)
     belief = FC.BeliefState(x, p)
     model = constant_motion(G.SE3, np.zeros(6), np.zeros((6, 6)), np.zeros((6, 6)))
-    out = FC.dlgekf_predict(belief, model, None, 0.01)
+    out = FC.dlgekf_predict(belief, *model)
     assert np.abs(out.mean.matrix - x.matrix).max() < 1e-12
     assert np.abs(out.covariance - p).max() < 1e-12
 
@@ -48,7 +45,7 @@ def test_predict_euclidean_reduction(rng):
     q = spd(3, rng, 0.1)
     belief = FC.BeliefState(G.tn_element(x0), p0)
     model = constant_motion(tag, omega, f_tilde, q)
-    out = FC.dlgekf_predict(belief, model, None, 1.0)
+    out = FC.dlgekf_predict(belief, *model)
     f_ref = np.eye(3) + f_tilde
     assert np.abs(out.mean.matrix[:3, 3] - (x0 + omega)).max() < 1e-12
     assert np.abs(out.covariance - (f_ref @ p0 @ f_ref.T + q)).max() < 1e-12
@@ -61,7 +58,7 @@ def test_predict_so3_monte_carlo(rng):
     omega = np.array([0.3, -0.5, 0.2])
     belief = FC.BeliefState(x_hat, p0)
     model = constant_motion(G.SO3, omega, np.zeros((3, 3)), q)
-    out = FC.dlgekf_predict(belief, model, None, 1.0)
+    out = FC.dlgekf_predict(belief, *model)
 
     gen = np.random.default_rng(77)
     l0 = np.linalg.cholesky(p0)
@@ -85,7 +82,7 @@ def test_update_perfect_measurement_keeps_mean(rng):
     n = spd(6, rng, 0.001)
     belief = FC.BeliefState(x, p)
     model = full_state_measurement(n)
-    out = FC.dlgekf_update(belief, model, x)
+    out = FC.dlgekf_update(belief, x, x, *model)
     assert np.abs(out.mean.matrix - x.matrix).max() < 1e-12
     k = p @ np.linalg.inv(p + n)
     assert np.abs(out.covariance - (np.eye(6) - k) @ p).max() < 1e-10
@@ -97,7 +94,8 @@ def test_update_euclidean_reduction(rng):
     n = spd(3, rng, 0.2)
     z = rng.standard_normal(3)
     belief = FC.BeliefState(G.tn_element(x0), p0)
-    out = FC.dlgekf_update(belief, full_state_measurement(n), G.tn_element(z))
+    out = FC.dlgekf_update(belief, belief.mean, G.tn_element(z),
+                           *full_state_measurement(n))
     k = p0 @ np.linalg.inv(p0 + n)
     assert np.abs(out.mean.matrix[:3, 3] - (x0 + k @ (z - x0))).max() < 1e-12
     assert np.abs(out.covariance - (np.eye(3) - k) @ p0).max() < 1e-12
@@ -110,7 +108,8 @@ def test_update_absorbs_offset_into_mean(rng):
     p = 0.04 * np.eye(3)
     n = 1e-6 * np.eye(3)
     z = G.compose(x, G.exp(G.TangentVector(G.SO3, [0.05, -0.02, 0.03])))
-    out = FC.dlgekf_update(FC.BeliefState(x, p), full_state_measurement(n), z)
+    out = FC.dlgekf_update(FC.BeliefState(x, p), x, z,
+                           *full_state_measurement(n))
     resid = G.logvee(G.compose(G.inverse(out.mean), z))
     assert np.linalg.norm(resid) < 1e-4  # nearly all innovation absorbed
 
@@ -123,8 +122,8 @@ def test_update_joseph_matches_short_form(rng):
     z = G.compose(x, G.exp(G.TangentVector(G.SE3, 0.01 * rng.standard_normal(6))))
     model = full_state_measurement(n)
     belief = FC.BeliefState(x, p)
-    a = FC.dlgekf_update(belief, model, z)
-    b = FC.dlgekf_update(belief, model, z, joseph=True)
+    a = FC.dlgekf_update(belief, belief.mean, z, *model)
+    b = FC.dlgekf_update(belief, belief.mean, z, *model, joseph=True)
     assert np.abs(a.covariance - b.covariance).max() < 1e-9
     assert np.abs(a.mean.matrix - b.mean.matrix).max() < 1e-12
 
@@ -135,9 +134,9 @@ def test_update_gate_rejects_outlier(rng):
     model = full_state_measurement(1e-6 * np.eye(3))
     z = G.exp(G.TangentVector(G.SO3, [0.5, 0.0, 0.0]))
     with pytest.raises(FC.MeasurementRejected):
-        FC.dlgekf_update(belief, model, z, gate=16.27)
+        FC.dlgekf_update(belief, belief.mean, z, *model, gate=16.27)
     # default has no gate
-    FC.dlgekf_update(belief, model, z)
+    FC.dlgekf_update(belief, belief.mean, z, *model)
 
 
 # --- left-error variant ------------------------------------------------------------
@@ -146,7 +145,7 @@ def test_rie_zero_motion_identity(rng):
     x = random_element(G.SE3, rng)
     p = spd(6, rng, 0.01)
     model = constant_motion(G.SE3, np.zeros(6), np.zeros((6, 6)), np.zeros((6, 6)))
-    out = FC.dlgekf_predict(FC.BeliefState(x, p), model, None, 0.01,
+    out = FC.dlgekf_predict(FC.BeliefState(x, p), *model,
                             side="left")
     assert np.abs(out.mean.matrix - x.matrix).max() < 1e-12
     assert np.abs(out.covariance - p).max() < 1e-12
@@ -159,8 +158,8 @@ def test_rie_euclidean_reduction_matches_left(rng):
     model = constant_motion(tag, rng.standard_normal(4),
                             0.2 * rng.standard_normal((4, 4)), spd(4, rng, 0.1))
     belief = FC.BeliefState(G.tn_element(x0), p0)
-    a = FC.dlgekf_predict(belief, model, None, 1.0)
-    b = FC.dlgekf_predict(belief, model, None, 1.0, side="left")
+    a = FC.dlgekf_predict(belief, *model)
+    b = FC.dlgekf_predict(belief, *model, side="left")
     assert np.abs(a.mean.matrix - b.mean.matrix).max() < 1e-12
     assert np.abs(a.covariance - b.covariance).max() < 1e-12
 
@@ -173,8 +172,8 @@ def test_rie_relates_to_left_by_transport(rng):
     omega = np.array([0.4, -0.2, 0.7])
     model = constant_motion(G.SO3, omega, np.zeros((3, 3)), q)
     belief = FC.BeliefState(G.identity(G.SO3), p0)
-    left = FC.dlgekf_predict(belief, model, None, 1.0)
-    right = FC.dlgekf_predict(belief, model, None, 1.0, side="left")
+    left = FC.dlgekf_predict(belief, *model)
+    right = FC.dlgekf_predict(belief, *model, side="left")
     assert np.abs(left.mean.matrix - right.mean.matrix).max() < 1e-12
     moved = U.transport_covariance(right.covariance, left.mean,
                                    U.TransportDirection.LEFT_TO_RIGHT)
@@ -188,8 +187,8 @@ def test_rie_update_mirrors_left_on_euclidean(rng):
     z = G.tn_element(rng.standard_normal(3))
     belief = FC.BeliefState(G.tn_element(x0), p0)
     model = full_state_measurement(n)
-    a = FC.dlgekf_update(belief, model, z)
-    b = FC.dlgekf_update(belief, model, z, side="left")
+    a = FC.dlgekf_update(belief, belief.mean, z, *model)
+    b = FC.dlgekf_update(belief, belief.mean, z, *model, side="left")
     assert np.abs(a.mean.matrix - b.mean.matrix).max() < 1e-12
     assert np.abs(a.covariance - b.covariance).max() < 1e-12
 
@@ -201,10 +200,11 @@ def test_unknown_error_side_is_rejected(step):
         if step == "predict":
             model = constant_motion(G.SO3, np.zeros(3), np.zeros((3, 3)),
                                     np.zeros((3, 3)))
-            FC.dlgekf_predict(belief, model, None, 0.01, side="middle")
+            FC.dlgekf_predict(belief, *model, side="middle")
         else:
-            FC.dlgekf_update(belief, full_state_measurement(np.eye(3)),
-                             G.identity(G.SO3), side="middle")
+            FC.dlgekf_update(belief, belief.mean, G.identity(G.SO3),
+                             *full_state_measurement(np.eye(3)),
+                             side="middle")
 
 
 # --- invariant engine ----------------------------------------------------------------
@@ -227,7 +227,8 @@ def imu_flow(a_meas, w_meas, dt):
 def test_invekf_propagate_constant_covariance(rng):
     x = random_element(SE23, rng)
     p = spd(9, rng, 0.01)
-    out = FC.invekf_propagate(FC.BeliefState(x, p), imu_flow(np.zeros(3), np.zeros(3), 0.01),
+    out = FC.invekf_propagate(FC.BeliefState(x, p),
+                              imu_flow(np.zeros(3), np.zeros(3), 0.01)(x),
                               np.zeros((9, 9)), np.zeros((9, 9)), 0.01)
     assert np.abs(out.covariance - p).max() < 1e-15
 
@@ -377,10 +378,10 @@ def test_covariance_stays_symmetric_psd_over_many_cycles(rng):
         f_tilde = 0.05 * rng.standard_normal((3, 3))
         q = spd(3, rng, 0.01)
         model = constant_motion(tag, rng.standard_normal(3), f_tilde, q)
-        belief = FC.dlgekf_predict(belief, model, None, 0.01)
+        belief = FC.dlgekf_predict(belief, *model)
         if i % 3 == 0:
             z = G.tn_element(belief.mean.matrix[:3, 3] + rng.standard_normal(3))
-            belief = FC.dlgekf_update(belief, model_meas, z)
+            belief = FC.dlgekf_update(belief, belief.mean, z, *model_meas)
         assert np.abs(belief.covariance - belief.covariance.T).max() == 0.0
     assert np.linalg.eigvalsh(belief.covariance).min() > -1e-9
 
@@ -390,7 +391,7 @@ def test_determinism(rng):
     p = spd(3, rng, 0.01)
     model = constant_motion(G.SO3, [0.1, 0.2, 0.3], np.zeros((3, 3)),
                             0.01 * np.eye(3))
-    a = FC.dlgekf_predict(FC.BeliefState(x, p), model, None, 0.1)
-    b = FC.dlgekf_predict(FC.BeliefState(x, p), model, None, 0.1)
+    a = FC.dlgekf_predict(FC.BeliefState(x, p), *model)
+    b = FC.dlgekf_predict(FC.BeliefState(x, p), *model)
     assert np.array_equal(a.mean.matrix, b.mean.matrix)
     assert np.array_equal(a.covariance, b.covariance)

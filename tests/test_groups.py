@@ -186,6 +186,23 @@ def test_left_jacobian_matches_series_oracle(rng):
                 G.left_jacobian(v), series_left_jacobian(v), atol=1e-10)
 
 
+@pytest.mark.parametrize("theta", [2e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+def test_se3_small_angles_match_the_series(rng, theta):
+    # 1 - cos(theta) and the closed forms of Q cancel catastrophically at
+    # small angles; the kernels must stay exact to rounding there
+    for _ in range(50):
+        axis = rng.standard_normal(3)
+        c = np.concatenate([rng.uniform(-1.0, 1.0, 3),
+                            theta * axis / np.linalg.norm(axis)])
+        v = G.TangentVector(G.SE3, c)
+        np.testing.assert_allclose(G.left_jacobian(v),
+                                   series_left_jacobian(v, terms=60),
+                                   rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(G.exp(v).matrix,
+                                   series_expm(G.hat(v), terms=60),
+                                   rtol=0.0, atol=1e-14)
+
+
 def test_jacobian_inverse(rng):
     for tag in ALL_TAGS:
         for _ in range(10):
